@@ -22,56 +22,29 @@ pub trait ClientGateway {
     /// Sends a task to every alive client; returns the delivered count.
     fn broadcast(&mut self, task: &TaskAssignment) -> usize;
 
-    /// Collects `Submit` updates for `round` until `expected` arrive or
-    /// `timeout` elapses.
-    fn collect_submissions(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-    ) -> Vec<(String, Dxo)>;
-
-    /// Collects `ValidateReport` metrics for `round`.
-    fn collect_validations(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-    ) -> Vec<(String, f64)>;
-
-    /// Like [`ClientGateway::collect_submissions`], but abandons the
-    /// gather — returning `None` — once `cancel` reports `true`. The
-    /// default checks only on entry (mocks stay trivially correct);
-    /// [`crate::server::FlServer`] re-polls between wait slices so a job
-    /// abort interrupts a round mid-gather instead of waiting out the
-    /// full timeout.
-    fn collect_submissions_cancellable(
+    /// Gathers `Submit` updates for `round` until `expected` leaf sites
+    /// have reported or `timeout` elapses. Returns `None` — abandoning
+    /// the gather — once `cancel` reports `true`;
+    /// [`crate::server::FlServer`] polls it between short wait slices, so
+    /// a job abort or a superseded relay round interrupts a gather
+    /// instead of waiting out the full timeout.
+    fn gather_submissions(
         &mut self,
         round: u32,
         expected: usize,
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Vec<(String, Dxo)>> {
-        if cancel() {
-            return None;
-        }
-        Some(self.collect_submissions(round, expected, timeout))
-    }
+    ) -> Option<Vec<(String, Dxo)>>;
 
-    /// Cancellable twin of [`ClientGateway::collect_validations`]; see
-    /// [`ClientGateway::collect_submissions_cancellable`].
-    fn collect_validations_cancellable(
+    /// Gathers `ValidateReport` metrics for `round`; cancellation as in
+    /// [`ClientGateway::gather_submissions`].
+    fn gather_validations(
         &mut self,
         round: u32,
         expected: usize,
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
-    ) -> Option<Vec<(String, f64)>> {
-        if cancel() {
-            return None;
-        }
-        Some(self.collect_validations(round, expected, timeout))
-    }
+    ) -> Option<Vec<(String, f64)>>;
 
     /// All leaf sites reachable through the registered clients. For a
     /// flat fleet this is [`ClientGateway::client_sites`]; a tree gateway
@@ -314,7 +287,7 @@ impl ScatterAndGather {
     }
 
     /// Attaches an abort flag. Once set, the run stops at the next
-    /// check — round start, mid-gather (via the cancellable collects),
+    /// check — round start, mid-gather (via the cancellable gathers),
     /// or before validation — broadcasts `Finish`, marks the status
     /// [`crate::admin::RunPhase::Aborted`], and returns
     /// [`FlareError::Aborted`].
@@ -439,12 +412,9 @@ impl ScatterAndGather {
                     .map(|a| a.load(Ordering::Relaxed))
                     .unwrap_or(false)
             };
-            let Some(mut updates) = gateway.collect_submissions_cancellable(
-                round,
-                expected,
-                self.config.round_timeout,
-                &mut cancel,
-            ) else {
+            let Some(mut updates) =
+                gateway.gather_submissions(round, expected, self.config.round_timeout, &mut cancel)
+            else {
                 return Err(self.finish_aborted(gateway, tag, round));
             };
             // Sites train concurrently and submit in arrival order; sort by
@@ -533,7 +503,7 @@ impl ScatterAndGather {
                     round,
                     weights: global.clone(),
                 });
-                let Some(mut reports) = gateway.collect_validations_cancellable(
+                let Some(mut reports) = gateway.gather_validations(
                     round,
                     expected,
                     self.config.round_timeout,
@@ -651,14 +621,16 @@ mod tests {
             self.deltas.len()
         }
 
-        fn collect_submissions(
+        fn gather_submissions(
             &mut self,
             round: u32,
             _expected: usize,
             _timeout: Duration,
-        ) -> Vec<(String, Dxo)> {
+            _cancel: &mut dyn FnMut() -> bool,
+        ) -> Option<Vec<(String, Dxo)>> {
             assert_eq!(self.pending_round, Some(round));
-            self.deltas
+            let updates = self
+                .deltas
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| self.dead_from[*i].map(|d| round < d).unwrap_or(true))
@@ -671,18 +643,22 @@ mod tests {
                     }
                     (format!("site-{}", i + 1), Dxo::from_weights(w, 10))
                 })
-                .collect()
+                .collect();
+            Some(updates)
         }
 
-        fn collect_validations(
+        fn gather_validations(
             &mut self,
             _round: u32,
             expected: usize,
             _timeout: Duration,
-        ) -> Vec<(String, f64)> {
-            (0..expected)
-                .map(|i| (format!("site-{}", i + 1), 0.5))
-                .collect()
+            _cancel: &mut dyn FnMut() -> bool,
+        ) -> Option<Vec<(String, f64)>> {
+            Some(
+                (0..expected)
+                    .map(|i| (format!("site-{}", i + 1), 0.5))
+                    .collect(),
+            )
         }
     }
 

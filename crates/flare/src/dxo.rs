@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 /// A dense named weight tensor as it travels on the wire (framework-
 /// agnostic: no autograd attached).
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WeightTensor {
     /// Dimension extents, row-major.
     pub dims: Vec<usize>,
@@ -50,7 +50,7 @@ impl WeightTensor {
 pub type Weights = BTreeMap<String, WeightTensor>;
 
 /// What a [`Dxo`] payload carries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DxoKind {
     /// Full model weights.
     Weights,
@@ -62,7 +62,7 @@ pub enum DxoKind {
 }
 
 /// NVFlare-style data exchange object: typed payload plus metadata.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Dxo {
     /// Payload type.
     pub kind: DxoKind,

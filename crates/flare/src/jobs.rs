@@ -9,9 +9,11 @@
 //!   scheduled → running → finished / aborted / failed) and caps how
 //!   many federations train at once (`max_concurrent`); excess jobs
 //!   queue in submission order.
-//! * Each running job gets its own [`crate::server::FlServer`] with an
-//!   in-proc client fleet, its own [`clinfl_obs::Registry`] (so
-//!   per-job metric namespaces never cross), its own checkpoint
+//! * Each running job stands up a private flat federation through the
+//!   simulator's one stand-up path ([`SimulatorRunner`]), so a job is
+//!   bit-identical to a solo simulator run under the same seed. It gets
+//!   its own [`clinfl_obs::Registry`] (so per-job metric namespaces
+//!   never cross), its own checkpoint
 //!   directory guarded by [`crate::persistor::FilePersistor`]'s
 //!   exclusive lock, and its own obs artifact tagged `job<id>-<name>`.
 //! * [`JobRuntime::abort`] flips the job's abort flag; the controller's
@@ -23,16 +25,13 @@
 //! `clinfl_tensor` pool permit around train/validate, so concurrent
 //! jobs share the one worker pool instead of oversubscribing cores.
 
-use crate::client::{ClientBehavior, FlClient};
-use crate::controller::{ScatterAndGather, WorkflowResult};
+use crate::controller::WorkflowResult;
 use crate::dxo::Weights;
 use crate::executor::Executor;
+use crate::filters::FilterChain;
 use crate::job::JobConfig;
 use crate::log::EventLog;
-use crate::persistor::{FilePersistor, InMemoryPersistor, Persistor};
-use crate::provision::Project;
-use crate::server::FlServer;
-use crate::transport::in_proc_pair;
+use crate::simulator::{RunScope, SimulatorConfig, SimulatorRunner, TreeConfig};
 use crate::FlareError;
 use clinfl_obs::Registry;
 use std::collections::BTreeMap;
@@ -101,7 +100,8 @@ pub struct JobSpec {
     pub make_executor: ExecutorFactory,
     /// Checkpoint directory for this job, or `None` for in-memory
     /// persistence. Two jobs must not share one — the
-    /// [`FilePersistor`] lock file fails the second job loudly.
+    /// [`crate::persistor::FilePersistor`] lock file fails the second job
+    /// loudly.
     pub checkpoint_dir: Option<PathBuf>,
 }
 
@@ -391,102 +391,73 @@ fn info_of(id: u64, e: &JobEntry) -> JobInfo {
     }
 }
 
-/// Stands up and runs one job's private federation: provision →
-/// register in-proc clients → ScatterAndGather → tear down. Everything
-/// observable is scoped: the server, every client, and the controller
-/// all record into the job's `obs` registry, and the obs artifact (when
-/// observability is enabled) is tagged `job<id>-<name>`.
+/// Runs one job's private federation through the simulator's stand-up
+/// path ([`SimulatorRunner`]), always flat. Everything observable is
+/// scoped: the server, every client, and the controller all record into
+/// the job's `obs` registry, and the obs artifact (when observability is
+/// enabled) is tagged `job<id>-<name>`.
 fn run_job(
     id: u64,
-    mut spec: JobSpec,
+    spec: JobSpec,
     obs: &Registry,
     status: &crate::admin::RunStatus,
     abort: &Arc<AtomicBool>,
     inner: &RuntimeInner,
 ) -> Result<WorkflowResult, FlareError> {
-    let log = inner.log.clone();
-    let seed = spec.config.seed.unwrap_or(spec.seed);
-    let n = spec.config.clients;
-    let mut persistor: Box<dyn Persistor> = match &spec.checkpoint_dir {
-        // The lock file inside `new()` is the multi-tenant guard: a
-        // second job pointed at the same directory fails here, before
-        // any client spawns.
-        Some(dir) => Box::new(FilePersistor::new(dir)?.with_log(log.clone())),
-        None => Box::new(InMemoryPersistor::new()),
-    };
     if abort.load(Ordering::Relaxed) {
         return Err(FlareError::Aborted);
     }
-
-    let project = Project::with_n_sites(format!("job-{id}"), n, seed);
-    let provisioned = project.provision();
-    let mut server = FlServer::new(provisioned.server.clone(), log.clone(), seed);
-    server.set_registry(obs.clone());
-    server.set_quorum(spec.config.min_clients, None);
-
-    let mut client_threads = Vec::with_capacity(n);
-    for (i, package) in provisioned.sites.iter().enumerate() {
-        let (server_side, client_side) = in_proc_pair();
-        server.serve_connection(server_side);
-        let package = package.clone();
-        let mut executor = (spec.make_executor)(i, &package.site_name);
-        let clog = log.clone();
-        let cobs = obs.clone();
-        // Same derivation as the simulator, so a job run is
-        // bit-identical to a solo simulator run under the same seed.
-        let dh_secret = seed.wrapping_mul(0x9E3779B97F4A7C15) ^ (i as u64 + 1);
-        client_threads.push(std::thread::spawn(move || -> Result<u32, FlareError> {
-            let mut client = FlClient::register(client_side, &package, dh_secret, clog)?;
-            client.set_registry(cobs);
-            client.run(executor.as_mut(), ClientBehavior::default())
-        }));
-    }
-
-    let joined = server.wait_for_clients(n, Duration::from_secs(30));
-    if joined < n {
-        log.warn(
-            "JobRuntime",
-            format!("job {id}: only {joined}/{n} clients registered"),
-        );
-    }
-
-    inner.set_state(id, JobState::Running);
-    log.info("JobRuntime", format!("job {id} running on {n} site(s)"));
-    let sag = ScatterAndGather::new(spec.config.sag_config(), log.clone())
-        .with_run_seed(seed)
-        .with_registry(obs.clone())
-        .with_status(status.clone())
-        .with_abort(abort.clone());
-    let workflow = sag.run(
-        &mut server,
-        spec.config.aggregator.build().as_ref(),
-        persistor.as_mut(),
-        spec.initial.clone(),
+    let JobSpec {
+        config,
+        seed,
+        initial,
+        mut make_executor,
+        checkpoint_dir,
+    } = spec;
+    let seed = config.seed.unwrap_or(seed);
+    let n = config.clients;
+    let runner = SimulatorRunner::with_log(
+        SimulatorConfig {
+            n_clients: n,
+            sag: config.sag_config(),
+            seed,
+            // The checkpoint lock file is the multi-tenant guard: a second
+            // job pointed at the same directory fails before any client
+            // spawns.
+            checkpoint_dir,
+            // Depth 1 keeps jobs flat whatever `CLINFL_TREE` says.
+            tree: Some(TreeConfig {
+                depth: 1,
+                fanout: 2,
+            }),
+            ..SimulatorConfig::default()
+        },
+        inner.log.clone(),
     );
-
-    // Tear down exactly like the simulator: stop the server before
-    // joining clients so dropped connections wake any stragglers.
-    server.shutdown();
-    server.disconnect_all();
-    for t in client_threads {
-        match t.join().expect("client thread panicked") {
-            Ok(_) => {}
-            Err(e) => log.warn("JobRuntime", format!("job {id}: client exited: {e}")),
-        }
-    }
-
-    if clinfl_obs::enabled() {
-        let run_name = format!("{}x{}-seed{seed}", n, spec.config.rounds);
-        let tag = format!("job{id}-{}", spec.config.name);
-        match obs.snapshot().write_artifact_tagged(&run_name, &tag) {
-            Ok(path) => log.info(
-                "JobRuntime",
-                format!("job {id} metrics artifact: {}", path.display()),
-            ),
-            Err(e) => log.warn("JobRuntime", format!("job {id} artifact write failed: {e}")),
-        }
-    }
-    workflow
+    let log = inner.log.clone();
+    let scope = RunScope {
+        project: format!("job-{id}"),
+        obs: obs.clone(),
+        status: status.clone(),
+        abort: abort.clone(),
+        artifact: (
+            format!("{n}x{}-seed{seed}", config.rounds),
+            format!("job{id}-{}", config.name),
+        ),
+        on_running: Box::new(move || {
+            inner.set_state(id, JobState::Running);
+            log.info("JobRuntime", format!("job {id} running on {n} site(s)"));
+        }),
+    };
+    runner
+        .run_scoped(
+            scope,
+            initial,
+            &mut make_executor,
+            config.aggregator.build().as_ref(),
+            &mut |_| FilterChain::new(),
+        )
+        .map(|result| result.workflow)
 }
 
 #[cfg(test)]
@@ -531,6 +502,43 @@ mod tests {
         assert_eq!(result.rounds.len(), 3);
         // mean(1, 2) = 1.5 added per round over 3 rounds.
         assert_eq!(result.final_weights["p"].data, vec![4.5; 4]);
+        rt.join_all();
+    }
+
+    #[test]
+    fn job_matches_solo_simulator_run_bitwise() {
+        let job = spec("twin", 3, 3, 11);
+        let solo_cfg = SimulatorConfig {
+            n_clients: 3,
+            sag: job.config.sag_config(),
+            seed: 11,
+            ..SimulatorConfig::default()
+        };
+        let initial = job.initial.clone();
+        let aggregator = job.config.aggregator.build();
+        let rt = JobRuntime::new(1);
+        let id = rt.submit(job);
+        assert_eq!(
+            rt.wait(id, Duration::from_secs(30)),
+            Some(JobState::Finished)
+        );
+        let solo = SimulatorRunner::new(solo_cfg)
+            .run_simple(
+                initial,
+                |i, _| {
+                    Box::new(ArithmeticExecutor {
+                        delta: (i + 1) as f32,
+                        n_examples: 10,
+                    })
+                },
+                aggregator.as_ref(),
+            )
+            .unwrap();
+        assert_eq!(
+            rt.result(id).unwrap().final_weights,
+            solo.workflow.final_weights,
+            "a job must be bit-identical to a solo simulator run under the same seed"
+        );
         rt.join_all();
     }
 

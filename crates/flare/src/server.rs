@@ -6,10 +6,11 @@
 //! ([`crate::reactor::FrameQueue`]) that marks its token ready on a shared
 //! [`crate::reactor::ReadyQueue`], and the reactor drains ready mailboxes,
 //! advancing each session's handshake/established state machine in place.
-//! In-process peers attach reactor-natively via [`FlServer::serve_session`]
-//! (zero threads per client); socket peers attach via
-//! [`FlServer::serve_connection`], which spawns only a thin pump thread
-//! that copies frames from the socket into the mailbox. Registration and
+//! Every in-process peer (simulated sites, relay uplinks, job fleets)
+//! attaches reactor-natively via [`FlServer::serve_session`], with zero
+//! threads per client. Only TCP peers attach via
+//! [`FlServer::serve_connection`], which spawns a thin pump thread that
+//! copies frames from the socket into the mailbox. Registration and
 //! codec settling block on a versioned [`crate::reactor::Signal`] instead
 //! of the old 5 ms sleep-polls.
 //!
@@ -50,6 +51,15 @@ const SERVER_NONCE_BASE: u64 = 1 << 32;
 /// How many recent rounds of leaf manifests to retain for
 /// [`ClientGateway::round_manifest`] queries.
 const MANIFEST_RETENTION: usize = 4;
+
+/// Wait slice between `cancel` probes in [`ClientGateway::gather_submissions`]
+/// and [`ClientGateway::gather_validations`]. A job abort, or an interior
+/// tree node learning from its uplink that the parent already closed the
+/// round, lands within one slice instead of waiting out the round
+/// timeout: short enough that an abandoned relay round costs well under
+/// any quorum grace, long enough that the relay's 1 ms uplink probe stays
+/// negligible.
+const GATHER_POLL: Duration = Duration::from_millis(50);
 
 struct ClientSlot {
     site: String,
@@ -789,9 +799,10 @@ impl FlServer {
         }
     }
 
-    /// Accepts an externally transported connection (TCP, fault-wrapped,
-    /// …): a thin pump thread copies inbound frames into the session
-    /// mailbox; all protocol handling still happens on the reactor.
+    /// Accepts a socket-transported connection (TCP peers; in-process
+    /// peers use [`FlServer::serve_session`]): a thin pump thread copies
+    /// inbound frames into the session mailbox; all protocol handling
+    /// still happens on the reactor.
     pub fn serve_connection(&mut self, conn: Connection) {
         let Connection { tx, mut rx } = conn;
         let dh_secret: u64 = self.rng.random();
@@ -1035,145 +1046,6 @@ impl FlServer {
         }
         Some(remaining)
     }
-
-    /// Relay-facing variant of [`ClientGateway::collect_submissions`]:
-    /// inbox waits are sliced to `poll`, and `superseded` is consulted
-    /// between slices. When it reports true the gather is abandoned —
-    /// `None`, manifest table untouched — because the round has already
-    /// closed at the caller's parent, so a shard submitted now would only
-    /// be discarded upstream as out-of-phase. An interior tree node
-    /// passes a probe of its uplink here; without it, a shard whose
-    /// leaves all missed the task broadcast pins the node in a dead
-    /// gather while its parent (closing rounds early on quorum grace)
-    /// races ahead, and the node relays stale rounds forever after.
-    pub fn collect_submissions_interruptible(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-        poll: Duration,
-        superseded: &mut dyn FnMut() -> bool,
-    ) -> Option<Vec<(String, Dxo)>> {
-        let deadline = Instant::now() + timeout;
-        let mut last_progress = Instant::now();
-        let mut out: Vec<(String, Dxo)> = Vec::new();
-        // Leaf-granular accounting: a shard covering k leaves advances
-        // the quorum by k, and its bookkeeping lands in the round
-        // manifest so the controller can expand it back to leaves.
-        let mut metas: Vec<(String, ShardMeta)> = Vec::new();
-        let mut any_shard = false;
-        let mut got_leaves = 0usize;
-        while got_leaves < expected {
-            if superseded() {
-                return None;
-            }
-            let Some(wait) = self.gather_wait(got_leaves, deadline, last_progress) else {
-                break;
-            };
-            match self.inbox_rx.recv_timeout(wait.min(poll)) {
-                Ok(InboxMsg::Submit {
-                    slot,
-                    round: r,
-                    dxo,
-                    shard,
-                }) if r == round => {
-                    let site = self.shared.slots.lock()[slot].site.clone();
-                    if out.iter().any(|(s, _)| *s == site) {
-                        self.shared
-                            .log
-                            .warn("ServerRunner", format!("duplicate submit from {site}"));
-                        continue;
-                    }
-                    let meta = match shard {
-                        Some(m) => {
-                            any_shard = true;
-                            m
-                        }
-                        None => ShardMeta {
-                            sites: vec![(site.clone(), dxo.metrics.clone())],
-                            dropped: Vec::new(),
-                        },
-                    };
-                    got_leaves += meta.sites.len().max(1);
-                    metas.push((site.clone(), meta));
-                    out.push((site, dxo));
-                    last_progress = Instant::now();
-                }
-                Ok(msg) => {
-                    let slot = match &msg {
-                        InboxMsg::Submit { slot, .. } | InboxMsg::Validate { slot, .. } => *slot,
-                    };
-                    let site = self.shared.slots.lock()[slot].site.clone();
-                    self.shared.log.warn(
-                        "ServerRunner",
-                        format!("{site}: out-of-phase message during round {round}: {msg:?}"),
-                    );
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Re-evaluate the deadline/grace budget at the top.
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        {
-            let mut manifests = self.manifests.lock();
-            if any_shard {
-                manifests.insert(
-                    round,
-                    RoundManifest {
-                        shards: metas.into_iter().collect(),
-                    },
-                );
-            } else {
-                manifests.remove(&round);
-            }
-            while manifests.len() > MANIFEST_RETENTION {
-                let oldest = *manifests.keys().next().expect("non-empty");
-                manifests.remove(&oldest);
-            }
-        }
-        Some(out)
-    }
-
-    /// The validation-phase twin of
-    /// [`Self::collect_submissions_interruptible`].
-    pub fn collect_validations_interruptible(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-        poll: Duration,
-        superseded: &mut dyn FnMut() -> bool,
-    ) -> Option<Vec<(String, f64)>> {
-        let deadline = Instant::now() + timeout;
-        let mut last_progress = Instant::now();
-        let mut out: Vec<(String, f64)> = Vec::new();
-        while out.len() < expected {
-            if superseded() {
-                return None;
-            }
-            let Some(wait) = self.gather_wait(out.len(), deadline, last_progress) else {
-                break;
-            };
-            match self.inbox_rx.recv_timeout(wait.min(poll)) {
-                Ok(InboxMsg::Validate {
-                    round: r, reports, ..
-                }) if r == round => {
-                    for (leaf, metric) in reports {
-                        if !out.iter().any(|(s, _)| *s == leaf) {
-                            out.push((leaf, metric));
-                            last_progress = Instant::now();
-                        }
-                    }
-                }
-                Ok(_) => {} // stale submit etc.
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        Some(out)
-    }
 }
 
 impl Drop for FlServer {
@@ -1338,60 +1210,129 @@ impl ClientGateway for FlServer {
         sent
     }
 
-    fn collect_submissions(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-    ) -> Vec<(String, Dxo)> {
-        // A never-superseded gather: the slice equals the full budget, so
-        // the wait behavior is identical to the pre-interruptible path.
-        self.collect_submissions_interruptible(round, expected, timeout, timeout, &mut || false)
-            .unwrap_or_default()
-    }
-
-    fn collect_validations(
-        &mut self,
-        round: u32,
-        expected: usize,
-        timeout: Duration,
-    ) -> Vec<(String, f64)> {
-        self.collect_validations_interruptible(round, expected, timeout, timeout, &mut || false)
-            .unwrap_or_default()
-    }
-
-    fn collect_submissions_cancellable(
+    fn gather_submissions(
         &mut self,
         round: u32,
         expected: usize,
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Vec<(String, Dxo)>> {
-        // 50 ms wait slices: an admin abort lands within one slice
-        // instead of waiting out the round timeout.
-        self.collect_submissions_interruptible(
-            round,
-            expected,
-            timeout,
-            Duration::from_millis(50),
-            cancel,
-        )
+        let deadline = Instant::now() + timeout;
+        let mut last_progress = Instant::now();
+        let mut out: Vec<(String, Dxo)> = Vec::new();
+        // Leaf-granular accounting: a shard covering k leaves advances
+        // the quorum by k, and its bookkeeping lands in the round
+        // manifest so the controller can expand it back to leaves.
+        let mut metas: Vec<(String, ShardMeta)> = Vec::new();
+        let mut any_shard = false;
+        let mut got_leaves = 0usize;
+        while got_leaves < expected {
+            if cancel() {
+                return None;
+            }
+            let Some(wait) = self.gather_wait(got_leaves, deadline, last_progress) else {
+                break;
+            };
+            match self.inbox_rx.recv_timeout(wait.min(GATHER_POLL)) {
+                Ok(InboxMsg::Submit {
+                    slot,
+                    round: r,
+                    dxo,
+                    shard,
+                }) if r == round => {
+                    let site = self.shared.slots.lock()[slot].site.clone();
+                    if out.iter().any(|(s, _)| *s == site) {
+                        self.shared
+                            .log
+                            .warn("ServerRunner", format!("duplicate submit from {site}"));
+                        continue;
+                    }
+                    let meta = match shard {
+                        Some(m) => {
+                            any_shard = true;
+                            m
+                        }
+                        None => ShardMeta {
+                            sites: vec![(site.clone(), dxo.metrics.clone())],
+                            dropped: Vec::new(),
+                        },
+                    };
+                    got_leaves += meta.sites.len().max(1);
+                    metas.push((site.clone(), meta));
+                    out.push((site, dxo));
+                    last_progress = Instant::now();
+                }
+                Ok(msg) => {
+                    let slot = match &msg {
+                        InboxMsg::Submit { slot, .. } | InboxMsg::Validate { slot, .. } => *slot,
+                    };
+                    let site = self.shared.slots.lock()[slot].site.clone();
+                    self.shared.log.warn(
+                        "ServerRunner",
+                        format!("{site}: out-of-phase message during round {round}: {msg:?}"),
+                    );
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    // Re-evaluate the deadline/grace budget at the top.
+                    continue;
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        {
+            let mut manifests = self.manifests.lock();
+            if any_shard {
+                manifests.insert(
+                    round,
+                    RoundManifest {
+                        shards: metas.into_iter().collect(),
+                    },
+                );
+            } else {
+                manifests.remove(&round);
+            }
+            while manifests.len() > MANIFEST_RETENTION {
+                let oldest = *manifests.keys().next().expect("non-empty");
+                manifests.remove(&oldest);
+            }
+        }
+        Some(out)
     }
 
-    fn collect_validations_cancellable(
+    fn gather_validations(
         &mut self,
         round: u32,
         expected: usize,
         timeout: Duration,
         cancel: &mut dyn FnMut() -> bool,
     ) -> Option<Vec<(String, f64)>> {
-        self.collect_validations_interruptible(
-            round,
-            expected,
-            timeout,
-            Duration::from_millis(50),
-            cancel,
-        )
+        let deadline = Instant::now() + timeout;
+        let mut last_progress = Instant::now();
+        let mut out: Vec<(String, f64)> = Vec::new();
+        while out.len() < expected {
+            if cancel() {
+                return None;
+            }
+            let Some(wait) = self.gather_wait(out.len(), deadline, last_progress) else {
+                break;
+            };
+            match self.inbox_rx.recv_timeout(wait.min(GATHER_POLL)) {
+                Ok(InboxMsg::Validate {
+                    round: r, reports, ..
+                }) if r == round => {
+                    for (leaf, metric) in reports {
+                        if !out.iter().any(|(s, _)| *s == leaf) {
+                            out.push((leaf, metric));
+                            last_progress = Instant::now();
+                        }
+                    }
+                }
+                Ok(_) => {} // stale submit etc.
+                Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        Some(out)
     }
 }
 

@@ -1,6 +1,15 @@
 //! The simulator: whole federations in one process (NVFlare's
 //! `SimulatorRunner`, the mode the paper's Fig. 3 demonstrates).
+//!
+//! Every in-process federation stands up through one path. A flat fleet
+//! is a depth-1 aggregation tree whose root children are all leaves, and
+//! the job runtime ([`crate::jobs`]) runs each job through the same path
+//! with the job's own registry, status and abort flag. Every site and
+//! relay attaches through a reactor-native session
+//! ([`FlServer::serve_session`]), so no server-side thread is spawned
+//! per site.
 
+use crate::admin::RunStatus;
 use crate::aggregator::Aggregator;
 use crate::client::{ClientBehavior, FlClient, RetryPolicy};
 use crate::codec::CodecSpec;
@@ -14,10 +23,13 @@ use crate::persistor::{FilePersistor, InMemoryPersistor, Persistor};
 use crate::provision::{Project, Provisioned, SitePackage};
 use crate::relay::{AggregatorNode, RelayConfig};
 use crate::server::FlServer;
-use crate::transport::{in_proc_pair, Connection};
+use crate::transport::Connection;
 use crate::FlareError;
+use clinfl_obs::Registry;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Shape of the in-process aggregation tree (see [`AggregatorNode`]).
@@ -122,13 +134,25 @@ fn child_name<'a>(child: &'a TreeChild, leaf_names: &'a [String]) -> &'a str {
     }
 }
 
+/// Client-side DH secret of leaf site `index` (0-based) or, with
+/// `relay`, of relay uplink number `index`. Relay ids carry the high bit
+/// so they never collide with a site's; a site's secret depends only on
+/// the run seed and its index, whatever the tree shape or host.
+fn dh_secret(seed: u64, index: u64, relay: bool) -> u64 {
+    let id = if relay {
+        0x8000_0000_0000_0000 | index
+    } else {
+        index + 1
+    };
+    seed.wrapping_mul(0x9E3779B97F4A7C15) ^ id
+}
+
 /// A leaf client ready to spawn: its (fault-wrapped) connection into the
 /// parent node plus registration material.
 struct LeafJob {
     index: usize,
     package: SitePackage,
     conn: Connection,
-    dh_secret: u64,
 }
 
 /// An interior node ready to spawn: a downstream server whose child
@@ -154,6 +178,36 @@ fn subtree_leaves(children: &[TreeChild]) -> usize {
             TreeChild::Node(spec) => subtree_leaves(&spec.children),
         })
         .sum()
+}
+
+/// The spawnable pieces of a tree, collected while
+/// [`SimulatorRunner::instantiate_children`] walks it.
+struct Fleet<'a> {
+    plan: &'a FaultPlan,
+    leaf_names: &'a [String],
+    project: &'a str,
+    relay_seq: u64,
+    leaves: Vec<LeafJob>,
+    relays: Vec<RelayJob>,
+}
+
+/// What a host hands [`SimulatorRunner::run_scoped`] beyond the config:
+/// where the run's metrics, status and abort flag live and what the run
+/// is called. [`SimulatorRunner::run`] uses the process-global registry;
+/// the job runtime passes each job's own scope.
+pub(crate) struct RunScope<'a> {
+    /// Provisioned project name (`simulator_server`, or `job-<id>`).
+    pub(crate) project: String,
+    /// Registry the root server, leaf clients and controller record into.
+    pub(crate) obs: Registry,
+    /// Live workflow status for admin observers.
+    pub(crate) status: RunStatus,
+    /// Operator abort flag, polled between rounds and gather slices.
+    pub(crate) abort: Arc<AtomicBool>,
+    /// Obs artifact file-name parts: `(run, tag)`.
+    pub(crate) artifact: (String, String),
+    /// Called once the fleet has registered, right before round 0.
+    pub(crate) on_running: Box<dyn FnOnce() + 'a>,
 }
 
 /// Configuration of a simulated federation.
@@ -299,27 +353,65 @@ impl SimulatorRunner {
         aggregator: &dyn Aggregator,
         mut make_filters: impl FnMut(usize) -> FilterChain,
     ) -> Result<SimulationResult, FlareError> {
+        let c = &self.config;
+        let scope = RunScope {
+            project: "simulator_server".to_string(),
+            obs: Registry::global(),
+            status: RunStatus::new(),
+            abort: Arc::default(),
+            artifact: (
+                format!("sim-{}x{}-seed{}", c.n_clients, c.sag.rounds, c.seed),
+                String::new(),
+            ),
+            on_running: Box::new(|| {}),
+        };
+        self.run_scoped(
+            scope,
+            initial,
+            &mut make_executor,
+            aggregator,
+            &mut make_filters,
+        )
+    }
+
+    /// The one federation stand-up behind [`SimulatorRunner::run`] and
+    /// the job runtime: checkpoint/resume setup → topology → provision
+    /// and attach every node through reactor sessions → one thread per
+    /// leaf and relay → ScatterAndGather at the root → teardown.
+    /// Aggregation order at every node is name-sorted, so a depth-2 run
+    /// is bit-identical to a flat run for rules whose partial
+    /// decomposition is exact.
+    pub(crate) fn run_scoped(
+        &self,
+        scope: RunScope<'_>,
+        initial: Weights,
+        make_executor: &mut dyn FnMut(usize, &str) -> Box<dyn Executor>,
+        aggregator: &dyn Aggregator,
+        make_filters: &mut dyn FnMut(usize) -> FilterChain,
+    ) -> Result<SimulationResult, FlareError> {
         let _run_span = clinfl_obs::span("run");
         let log = self.log.clone();
+        let cfg = &self.config;
+        let n = cfg.n_clients;
         // Checkpoint/resume setup happens before any client thread spawns,
         // so a refused resume returns an error without leaking threads.
         let mut initial = initial;
-        let mut sag_cfg = self.config.sag.clone();
-        let mut persistor: Box<dyn Persistor> = match &self.config.checkpoint_dir {
+        let mut sag_cfg = cfg.sag.clone();
+        let mut persistor: Box<dyn Persistor> = match &cfg.checkpoint_dir {
             Some(dir) => {
                 let mut fp = FilePersistor::new(dir)?.with_log(log.clone());
-                if let Some(keep) = self.config.retain_checkpoints {
+                if let Some(keep) = cfg.retain_checkpoints {
                     fp = fp.with_retention(keep);
                 }
-                if self.config.resume {
+                if cfg.resume {
                     match fp.load_checkpoint() {
                         Some(ckpt) => {
-                            if ckpt.seed != self.config.seed {
+                            if ckpt.seed != cfg.seed {
                                 return Err(FlareError::Checkpoint(format!(
                                     "checkpoint in {dir:?} was written under run seed {}; \
                                      refusing to resume with seed {} (the fault/data \
                                      schedule would diverge)",
-                                    ckpt.seed, self.config.seed
+                                    ckpt.seed, cfg.seed
                                 )));
                             }
                             initial = ckpt.global.clone();
@@ -335,331 +427,85 @@ impl SimulatorRunner {
             }
             None => Box::new(InMemoryPersistor::new()),
         };
-        let plan = FaultPlan::new(self.config.faults.clone(), log.clone());
+        let plan = FaultPlan::new(cfg.faults.clone(), log.clone());
         if plan.config().is_active() {
             log.info(
                 "FaultInjector",
                 format!("active with seed {}", plan.config().seed),
             );
         }
-        // Topology: a resumed run restores whatever its checkpoint
-        // recorded (a run must not change shape mid-flight); otherwise the
-        // config, then the CLINFL_TREE environment knob, decides.
-        let topology = match sag_cfg
-            .resume_from
-            .as_ref()
-            .map(|c| (c.tree_depth, c.tree_fanout))
-        {
-            Some((d, f)) if d >= 2 => Some(TreeConfig {
-                depth: d,
-                fanout: (f as usize).max(2),
-            }),
-            Some(_) => None,
-            None => self.config.tree.or_else(TreeConfig::from_env),
-        };
-        let topology = match topology.filter(|t| t.depth >= 2 && self.config.n_clients >= 2) {
-            Some(_) if !aggregator.supports_partial() => {
-                log.warn(
-                    "SimulatorRunner",
-                    format!(
-                        "{} does not decompose over shards; falling back to a flat topology",
-                        aggregator.name()
-                    ),
-                );
-                None
-            }
-            Some(_) if sag_cfg.client_sample_fraction < 1.0 => {
-                // Interior aggregator nodes scatter to their whole shard,
-                // so a per-round site subset cannot be addressed through
-                // them yet; run the sampled federation flat instead.
-                log.warn(
-                    "SimulatorRunner",
-                    "client sampling does not compose with tree aggregation; \
-                     falling back to a flat topology",
-                );
-                None
-            }
-            t => t,
-        };
-        if let Some(tree) = topology {
-            return self.run_tree(
-                tree,
-                initial,
-                &mut make_executor,
-                aggregator,
-                &mut make_filters,
-                sag_cfg,
-                persistor.as_mut(),
-                &plan,
-            );
-        }
-        log.info("SimulatorRunner", "Create the simulate clients.");
-        let project =
-            Project::with_n_sites("simulator_server", self.config.n_clients, self.config.seed);
-        let provisioned = project.provision();
-        let mut server = FlServer::new(provisioned.server.clone(), log.clone(), self.config.seed);
-        server.set_quorum(self.config.sag.min_clients, self.config.sag.quorum_grace);
-        server.set_wire_codecs_enabled(self.config.server_codecs_enabled);
-
-        let mut client_threads = Vec::with_capacity(self.config.n_clients);
-        for (i, package) in provisioned.sites.iter().enumerate() {
-            let (server_side, client_side) = in_proc_pair();
-            server.serve_connection(server_side);
-            let package = package.clone();
-            let mut behavior = self.config.behaviors.get(&i).copied().unwrap_or_default();
-            if behavior.drop_at_round.is_none() {
-                // The fault plan can schedule mid-round crashes too.
-                behavior.drop_at_round = plan.crash_round(i);
-            }
-            let client_side = plan.wrap(&package.site_name, client_side);
-            let retry = self.config.retry;
-            let mut executor = make_executor(i, &package.site_name);
-            let filters = make_filters(i);
-            let clog = log.clone();
-            let dh_secret = self.config.seed.wrapping_mul(0x9E3779B97F4A7C15) ^ (i as u64 + 1);
-            let wire = self
-                .config
-                .wire_overrides
-                .get(&i)
-                .cloned()
-                .unwrap_or_else(|| self.config.wire.clone());
-            client_threads.push(std::thread::spawn(move || -> Result<u32, FlareError> {
-                let mut client = FlClient::register(client_side, &package, dh_secret, clog)?;
-                client.set_filters(filters);
-                client.set_retry_policy(retry);
-                client.set_wire_codec(wire);
-                client.run(executor.as_mut(), behavior)
-            }));
-        }
-
-        let joined = server.wait_for_clients(self.config.n_clients, Duration::from_secs(30));
-        if joined < self.config.n_clients {
-            log.warn(
-                "SimulatorRunner",
-                format!("only {joined}/{} clients registered", self.config.n_clients),
-            );
-        }
-
-        let sag = ScatterAndGather::new(sag_cfg, log.clone()).with_run_seed(self.config.seed);
-        let workflow = sag.run(&mut server, aggregator, persistor.as_mut(), initial);
-
-        // Stop the server BEFORE joining clients: dropping the server-side
-        // connections wakes any client whose Finish frame was lost to an
-        // injected fault (buffered frames still deliver, so the healthy
-        // goodbye path is unaffected). Joining first could deadlock on a
-        // client waiting out its full receive-retry budget.
-        server.shutdown();
-        server.disconnect_all();
-        let mut client_rounds = Vec::with_capacity(client_threads.len());
-        for t in client_threads {
-            match t.join().expect("client thread panicked") {
-                Ok(rounds) => client_rounds.push(rounds),
-                Err(e) => {
-                    log.warn("SimulatorRunner", format!("client exited with error: {e}"));
-                    client_rounds.push(0);
-                }
-            }
-        }
-        let workflow = workflow?;
-        log.info("SimulatorRunner", "Simulation complete.");
-        if clinfl_obs::enabled() {
-            let run_name = format!(
-                "sim-{}x{}-seed{}",
-                self.config.n_clients, self.config.sag.rounds, self.config.seed
-            );
-            match clinfl_obs::snapshot().write_artifact(&run_name) {
-                Ok(path) => log.info(
-                    "SimulatorRunner",
-                    format!("Metrics artifact: {}", path.display()),
-                ),
-                Err(e) => log.warn(
-                    "SimulatorRunner",
-                    format!("metrics artifact write failed: {e}"),
-                ),
-            }
-        }
-        Ok(SimulationResult {
-            workflow,
-            client_rounds,
-            log,
-        })
-    }
-
-    /// Recursively provisions an interior node's children: every child
-    /// gets a reactor-native session on `parent` (created here, on the
-    /// launching thread, so servers can move into their node threads
-    /// afterwards); interior children get their own provisioned
-    /// [`FlServer`] and recurse. Leaf connections are fault-wrapped;
-    /// relay uplinks are not (the paper's faults live on site links), and
-    /// each tree level shaves 10% off the round deadline so a stalled
-    /// shard resolves below its parent's timeout.
-    #[allow(clippy::too_many_arguments)]
-    fn instantiate_children(
-        &self,
-        parent: &mut FlServer,
-        parent_prov: &Provisioned,
-        children: &[TreeChild],
-        leaf_names: &[String],
-        level_timeout: Duration,
-        level_grace: Option<Duration>,
-        plan: &FaultPlan,
-        log: &EventLog,
-        relay_seq: &mut u64,
-        leaf_jobs: &mut Vec<LeafJob>,
-        relay_jobs: &mut Vec<RelayJob>,
-    ) {
-        for (pos, child) in children.iter().enumerate() {
-            let package = parent_prov.sites[pos].clone();
-            let conn = parent.serve_session();
-            match child {
-                TreeChild::Leaf(i) => {
-                    let i = *i;
-                    leaf_jobs.push(LeafJob {
-                        index: i,
-                        package,
-                        conn: plan.wrap(&leaf_names[i], conn),
-                        dh_secret: self.config.seed.wrapping_mul(0x9E3779B97F4A7C15)
-                            ^ (i as u64 + 1),
-                    });
-                }
-                TreeChild::Node(spec) => {
-                    *relay_seq += 1;
-                    let seq = *relay_seq;
-                    let relay_seed = self.config.seed.wrapping_add(0xC1F7).wrapping_add(seq);
-                    let project = Project {
-                        name: "simulator_server".to_string(),
-                        sites: spec
-                            .children
-                            .iter()
-                            .map(|c| child_name(c, leaf_names).to_string())
-                            .collect(),
-                        seed: relay_seed,
-                    };
-                    let prov = project.provision();
-                    let mut server = FlServer::new(prov.server.clone(), log.clone(), relay_seed);
-                    // Re-home metrics before any child session exists:
-                    // registrations start flowing the moment sessions are
-                    // served below, and early frames must not be charged
-                    // to the root's `flare.server` namespace.
-                    server.set_metric_namespace("flare.tree");
-                    server.set_wire_codecs_enabled(self.config.server_codecs_enabled);
-                    // Shaving the deadline (and halving the grace) per
-                    // level keeps a child's gather strictly inside its
-                    // parent's window: a shard always lands before the
-                    // parent's own quorum grace or timeout expires.
-                    let child_timeout = level_timeout.mul_f32(0.9);
-                    let child_grace = level_grace.map(|g| g.mul_f32(0.5));
-                    self.instantiate_children(
-                        &mut server,
-                        &prov,
-                        &spec.children,
-                        leaf_names,
-                        child_timeout,
-                        child_grace,
-                        plan,
-                        log,
-                        relay_seq,
-                        leaf_jobs,
-                        relay_jobs,
-                    );
-                    relay_jobs.push(RelayJob {
-                        name: spec.name.clone(),
-                        server,
-                        conn,
-                        package,
-                        dh_secret: self.config.seed.wrapping_mul(0x9E3779B97F4A7C15)
-                            ^ (0x8000_0000_0000_0000 | seq),
-                        n_children: spec.children.len(),
-                        n_leaves: subtree_leaves(&spec.children),
-                        cfg: RelayConfig {
-                            registration_timeout: Duration::from_secs(30),
-                            round_timeout: child_timeout,
-                            quorum_grace: child_grace,
-                        },
-                    });
-                }
-            }
-        }
-    }
-
-    /// The tree-mode twin of [`SimulatorRunner::run`]: stands up the
-    /// whole aggregation tree in-process — one [`AggregatorNode`] thread
-    /// per interior node, one client thread per leaf — and drives the
-    /// root through the unchanged ScatterAndGather workflow. Aggregation
-    /// order at every node is name-sorted, so a depth-2 run is
-    /// bit-identical to a flat run for rules whose partial decomposition
-    /// is exact.
-    #[allow(clippy::too_many_arguments)]
-    fn run_tree(
-        &self,
-        tree: TreeConfig,
-        initial: Weights,
-        make_executor: &mut dyn FnMut(usize, &str) -> Box<dyn Executor>,
-        aggregator: &dyn Aggregator,
-        make_filters: &mut dyn FnMut(usize) -> FilterChain,
-        sag_cfg: SagConfig,
-        persistor: &mut dyn Persistor,
-        plan: &FaultPlan,
-    ) -> Result<SimulationResult, FlareError> {
-        let log = self.log.clone();
-        let n = self.config.n_clients;
+        let tree = self.topology(&sag_cfg, aggregator);
         log.info("SimulatorRunner", "Create the simulate clients.");
         let leaf_names: Vec<String> = (1..=n).map(|i| format!("site-{i}")).collect();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| leaf_names[a].cmp(&leaf_names[b]));
         let mut counter = 0usize;
         let root_children = build_children(&order, tree.depth, tree.fanout, &mut counter);
-        log.info(
-            "SimulatorRunner",
-            format!(
-                "Aggregation tree: depth {}, fan-out {}, {counter} interior node(s), \
-                 {} root child(ren) over {n} site(s).",
-                tree.depth,
-                tree.fanout,
-                root_children.len()
-            ),
-        );
-        let root_project = Project {
-            name: "simulator_server".to_string(),
+        if tree.depth >= 2 {
+            log.info(
+                "SimulatorRunner",
+                format!(
+                    "Aggregation tree: depth {}, fan-out {}, {counter} interior node(s), \
+                     {} root child(ren) over {n} site(s).",
+                    tree.depth,
+                    tree.fanout,
+                    root_children.len()
+                ),
+            );
+        }
+        let RunScope {
+            project,
+            obs,
+            status,
+            abort,
+            artifact,
+            on_running,
+        } = scope;
+        let root_prov = Project {
+            name: project.clone(),
             sites: root_children
                 .iter()
                 .map(|c| child_name(c, &leaf_names).to_string())
                 .collect(),
-            seed: self.config.seed,
+            seed: cfg.seed,
+        }
+        .provision();
+        let mut server = FlServer::new(root_prov.server.clone(), log.clone(), cfg.seed);
+        server.set_registry(obs.clone());
+        server.set_quorum(cfg.sag.min_clients, cfg.sag.quorum_grace);
+        server.set_wire_codecs_enabled(cfg.server_codecs_enabled);
+        let mut fleet = Fleet {
+            plan: &plan,
+            leaf_names: &leaf_names,
+            project: &project,
+            relay_seq: 0,
+            leaves: Vec::with_capacity(n),
+            relays: Vec::new(),
         };
-        let root_prov = root_project.provision();
-        let mut server = FlServer::new(root_prov.server.clone(), log.clone(), self.config.seed);
-        server.set_quorum(self.config.sag.min_clients, self.config.sag.quorum_grace);
-        server.set_wire_codecs_enabled(self.config.server_codecs_enabled);
-        let mut leaf_jobs = Vec::with_capacity(n);
-        let mut relay_jobs = Vec::new();
-        let mut relay_seq = 0u64;
         self.instantiate_children(
             &mut server,
             &root_prov,
             &root_children,
-            &leaf_names,
-            self.config.sag.round_timeout,
-            self.config.sag.quorum_grace,
-            plan,
-            &log,
-            &mut relay_seq,
-            &mut leaf_jobs,
-            &mut relay_jobs,
+            cfg.sag.round_timeout,
+            cfg.sag.quorum_grace,
+            &mut fleet,
         );
+        let Fleet {
+            mut leaves, relays, ..
+        } = fleet;
         // client_rounds stays indexed by site, independent of tree shape.
-        leaf_jobs.sort_by_key(|j| j.index);
+        leaves.sort_by_key(|j| j.index);
         let n_root_children = root_children.len();
-        let retry = self.config.retry;
+        let has_relays = !relays.is_empty();
 
         let (workflow, client_rounds) = std::thread::scope(|scope| {
-            let mut relay_handles = Vec::with_capacity(relay_jobs.len());
-            for job in relay_jobs {
-                let handle_name = job.name.clone();
+            let mut relay_handles = Vec::with_capacity(relays.len());
+            for job in relays {
                 let clog = log.clone();
-                let wire = self.config.wire.clone();
+                let wire = cfg.wire.clone();
+                let retry = cfg.retry;
                 relay_handles.push((
-                    handle_name,
+                    job.name.clone(),
                     scope.spawn(move || -> Result<u32, FlareError> {
                         let RelayJob {
                             name,
@@ -683,33 +529,21 @@ impl SimulatorRunner {
                 ));
             }
             let mut leaf_handles = Vec::with_capacity(n);
-            for job in leaf_jobs {
-                let mut behavior = self
-                    .config
-                    .behaviors
-                    .get(&job.index)
-                    .copied()
-                    .unwrap_or_default();
+            for job in leaves {
+                let i = job.index;
+                let mut behavior = cfg.behaviors.get(&i).copied().unwrap_or_default();
                 if behavior.drop_at_round.is_none() {
-                    behavior.drop_at_round = plan.crash_round(job.index);
+                    // The fault plan can schedule mid-round crashes too.
+                    behavior.drop_at_round = plan.crash_round(i);
                 }
-                let mut executor = make_executor(job.index, &leaf_names[job.index]);
-                let filters = make_filters(job.index);
-                let clog = log.clone();
-                let wire = self
-                    .config
-                    .wire_overrides
-                    .get(&job.index)
-                    .cloned()
-                    .unwrap_or_else(|| self.config.wire.clone());
+                let mut executor = make_executor(i, &leaf_names[i]);
+                let filters = make_filters(i);
+                let wire = cfg.wire_overrides.get(&i).unwrap_or(&cfg.wire).clone();
+                let (clog, cobs, retry) = (log.clone(), obs.clone(), cfg.retry);
+                let secret = dh_secret(cfg.seed, i as u64, false);
                 leaf_handles.push(scope.spawn(move || -> Result<u32, FlareError> {
-                    let LeafJob {
-                        package,
-                        conn,
-                        dh_secret,
-                        ..
-                    } = job;
-                    let mut client = FlClient::register(conn, &package, dh_secret, clog)?;
+                    let mut client = FlClient::register(job.conn, &job.package, secret, clog)?;
+                    client.set_registry(cobs);
                     client.set_filters(filters);
                     client.set_retry_policy(retry);
                     client.set_wire_codec(wire);
@@ -721,25 +555,40 @@ impl SimulatorRunner {
             if joined < n_root_children {
                 log.warn(
                     "SimulatorRunner",
-                    format!("only {joined}/{n_root_children} root children registered"),
+                    format!("only {joined}/{n_root_children} clients registered"),
                 );
             }
-            let covered = server.wait_for_leaves(n, Duration::from_secs(30));
-            if covered < n {
-                log.warn(
-                    "SimulatorRunner",
-                    format!("only {covered}/{n} leaf sites announced"),
-                );
+            if has_relays {
+                // A relay registers before it announces its leaves, so
+                // the root also waits for the full leaf population.
+                let covered = server.wait_for_leaves(n, Duration::from_secs(30));
+                if covered < n {
+                    log.warn(
+                        "SimulatorRunner",
+                        format!("only {covered}/{n} leaf sites announced"),
+                    );
+                }
             }
+            on_running();
 
-            let sag = ScatterAndGather::new(sag_cfg, log.clone())
-                .with_run_seed(self.config.seed)
-                .with_topology(tree.depth, tree.fanout as u32);
-            let workflow = sag.run(&mut server, aggregator, persistor, initial);
+            let mut sag = ScatterAndGather::new(sag_cfg, log.clone())
+                .with_run_seed(cfg.seed)
+                .with_registry(obs.clone())
+                .with_status(status)
+                .with_abort(abort);
+            if tree.depth >= 2 {
+                // Flat runs keep recording depth 0 in their checkpoints.
+                sag = sag.with_topology(tree.depth, tree.fanout as u32);
+            }
+            let workflow = sag.run(&mut server, aggregator, persistor.as_mut(), initial);
 
-            // Same ordering rationale as the flat path: wake everything
-            // before joining. Relays react by shutting their own servers
-            // down, which cascades the wake-up to the leaves.
+            // Stop the server BEFORE joining: dropping the server-side
+            // connections wakes any client whose Finish frame was lost to
+            // an injected fault (buffered frames still deliver, so the
+            // healthy goodbye path is unaffected), and relays react by
+            // shutting their own servers down, which cascades the wake-up
+            // to the leaves. Joining first could deadlock on a client
+            // waiting out its full receive-retry budget.
             server.shutdown();
             server.disconnect_all();
 
@@ -763,11 +612,8 @@ impl SimulatorRunner {
         let workflow = workflow?;
         log.info("SimulatorRunner", "Simulation complete.");
         if clinfl_obs::enabled() {
-            let run_name = format!(
-                "sim-{}x{}-seed{}",
-                n, self.config.sag.rounds, self.config.seed
-            );
-            match clinfl_obs::snapshot().write_artifact(&run_name) {
+            let (run, tag) = &artifact;
+            match obs.snapshot().write_artifact_tagged(run, tag) {
                 Ok(path) => log.info(
                     "SimulatorRunner",
                     format!("Metrics artifact: {}", path.display()),
@@ -783,6 +629,137 @@ impl SimulatorRunner {
             client_rounds,
             log,
         })
+    }
+
+    /// The tree this run stands up. A resumed run restores whatever its
+    /// checkpoint recorded (a run must not change shape mid-flight);
+    /// otherwise the config, then the `CLINFL_TREE` environment knob,
+    /// decides. Flat requests, and trees the aggregation rule or client
+    /// sampling cannot serve, resolve to depth 1.
+    fn topology(&self, sag: &SagConfig, aggregator: &dyn Aggregator) -> TreeConfig {
+        let n = self.config.n_clients;
+        let flat = TreeConfig {
+            depth: 1,
+            fanout: n.max(2),
+        };
+        let requested = match sag
+            .resume_from
+            .as_ref()
+            .map(|c| (c.tree_depth, c.tree_fanout))
+        {
+            Some((d, f)) if d >= 2 => Some(TreeConfig {
+                depth: d,
+                fanout: (f as usize).max(2),
+            }),
+            Some(_) => None,
+            None => self.config.tree.or_else(TreeConfig::from_env),
+        };
+        let Some(tree) = requested.filter(|t| t.depth >= 2 && n >= 2) else {
+            return flat;
+        };
+        if !aggregator.supports_partial() {
+            self.log.warn(
+                "SimulatorRunner",
+                format!(
+                    "{} does not decompose over shards; falling back to a flat topology",
+                    aggregator.name()
+                ),
+            );
+            return flat;
+        }
+        if sag.client_sample_fraction < 1.0 {
+            // Interior aggregator nodes scatter to their whole shard, so
+            // a per-round site subset cannot be addressed through them
+            // yet; run the sampled federation flat instead.
+            self.log.warn(
+                "SimulatorRunner",
+                "client sampling does not compose with tree aggregation; \
+                 falling back to a flat topology",
+            );
+            return flat;
+        }
+        tree
+    }
+
+    /// Recursively provisions an interior node's children: every child
+    /// gets a reactor-native session on `parent` (created here, on the
+    /// launching thread, so servers can move into their node threads
+    /// afterwards); interior children get their own provisioned
+    /// [`FlServer`] and recurse. Leaf connections are fault-wrapped;
+    /// relay uplinks are not (the paper's faults live on site links), and
+    /// each tree level shaves 10% off the round deadline so a stalled
+    /// shard resolves below its parent's timeout.
+    fn instantiate_children(
+        &self,
+        parent: &mut FlServer,
+        parent_prov: &Provisioned,
+        children: &[TreeChild],
+        level_timeout: Duration,
+        level_grace: Option<Duration>,
+        fleet: &mut Fleet<'_>,
+    ) {
+        for (pos, child) in children.iter().enumerate() {
+            let package = parent_prov.sites[pos].clone();
+            let conn = parent.serve_session();
+            match child {
+                TreeChild::Leaf(i) => fleet.leaves.push(LeafJob {
+                    index: *i,
+                    package,
+                    conn: fleet.plan.wrap(&fleet.leaf_names[*i], conn),
+                }),
+                TreeChild::Node(spec) => {
+                    fleet.relay_seq += 1;
+                    let seq = fleet.relay_seq;
+                    let relay_seed = self.config.seed.wrapping_add(0xC1F7).wrapping_add(seq);
+                    let prov = Project {
+                        name: fleet.project.to_string(),
+                        sites: spec
+                            .children
+                            .iter()
+                            .map(|c| child_name(c, fleet.leaf_names).to_string())
+                            .collect(),
+                        seed: relay_seed,
+                    }
+                    .provision();
+                    let mut server =
+                        FlServer::new(prov.server.clone(), self.log.clone(), relay_seed);
+                    // Re-home metrics before any child session exists:
+                    // registrations start flowing the moment sessions are
+                    // served below, and early frames must not be charged
+                    // to the root's `flare.server` namespace.
+                    server.set_metric_namespace("flare.tree");
+                    server.set_wire_codecs_enabled(self.config.server_codecs_enabled);
+                    // Shaving the deadline (and halving the grace) per
+                    // level keeps a child's gather strictly inside its
+                    // parent's window: a shard always lands before the
+                    // parent's own quorum grace or timeout expires.
+                    let child_timeout = level_timeout.mul_f32(0.9);
+                    let child_grace = level_grace.map(|g| g.mul_f32(0.5));
+                    self.instantiate_children(
+                        &mut server,
+                        &prov,
+                        &spec.children,
+                        child_timeout,
+                        child_grace,
+                        fleet,
+                    );
+                    fleet.relays.push(RelayJob {
+                        name: spec.name.clone(),
+                        server,
+                        conn,
+                        package,
+                        dh_secret: dh_secret(self.config.seed, seq, true),
+                        n_children: spec.children.len(),
+                        n_leaves: subtree_leaves(&spec.children),
+                        cfg: RelayConfig {
+                            registration_timeout: Duration::from_secs(30),
+                            round_timeout: child_timeout,
+                            quorum_grace: child_grace,
+                        },
+                    });
+                }
+            }
+        }
     }
 
     /// Convenience wrapper: healthy clients, no filters.
@@ -1095,42 +1072,63 @@ mod tests {
 
     #[test]
     fn tree_depth2_bit_identical_to_flat() {
-        // Deltas 1..8 with equal example counts: the shard means (2.5 and
-        // 6.5) recombine to the flat mean 4.5 exactly in f32, so the two
-        // topologies must agree bit-for-bit.
-        let flat = sim(8, 3)
-            .run_simple(initial(), exec, &WeightedFedAvg)
-            .unwrap();
-        let cfg = SimulatorConfig {
-            n_clients: 8,
-            sag: SagConfig {
-                rounds: 3,
-                min_clients: 1,
-                round_timeout: Duration::from_secs(10),
-                validate_global: true,
-                ..SagConfig::default()
-            },
-            seed: 7,
-            tree: Some(TreeConfig {
+        // Deltas 1..n with equal example counts: every shard mean (2.5
+        // and 6.5 at 8 sites) is exact in f32 and recombines to the flat
+        // mean, so the two topologies must agree bit-for-bit. At 12 sites
+        // name order (site-1, site-10, site-11, site-12, site-2, ...)
+        // differs from index order; site-10 drops at the last round (its
+        // shard mean stays exact) so `client_rounds` must report its two
+        // rounds at index 9 in both shapes.
+        for n in [8, 12] {
+            let mut cfg = SimulatorConfig {
+                n_clients: n,
+                sag: SagConfig {
+                    rounds: 3,
+                    min_clients: 1,
+                    round_timeout: Duration::from_secs(10),
+                    validate_global: true,
+                    ..SagConfig::default()
+                },
+                seed: 7,
+                ..SimulatorConfig::default()
+            };
+            let mut expected_rounds = vec![3; n];
+            if n == 12 {
+                cfg.sag.quorum_grace = Some(Duration::from_secs(2));
+                cfg.behaviors.insert(
+                    9,
+                    ClientBehavior {
+                        drop_at_round: Some(2),
+                        straggle: None,
+                    },
+                );
+                expected_rounds[9] = 2;
+            }
+            let flat = SimulatorRunner::new(cfg.clone())
+                .run_simple(initial(), exec, &WeightedFedAvg)
+                .unwrap();
+            cfg.tree = Some(TreeConfig {
                 depth: 2,
                 fanout: 4,
-            }),
-            ..SimulatorConfig::default()
-        };
-        let tree = SimulatorRunner::new(cfg)
-            .run_simple(initial(), exec, &WeightedFedAvg)
-            .unwrap();
-        assert!(tree.log.contains("Aggregation tree: depth 2"));
-        assert!(tree.log.contains("aggregator node covering 4 leaf site(s)"));
-        assert_eq!(
-            tree.workflow.final_weights, flat.workflow.final_weights,
-            "depth-2 tree must be bit-identical to the flat run"
-        );
-        assert_eq!(tree.client_rounds, vec![3; 8]);
-        assert_eq!(
-            tree.workflow.rounds[0].contributors, flat.workflow.rounds[0].contributors,
-            "round summaries must stay leaf-granular"
-        );
+            });
+            let tree = SimulatorRunner::new(cfg)
+                .run_simple(initial(), exec, &WeightedFedAvg)
+                .unwrap();
+            assert!(tree.log.contains("Aggregation tree: depth 2"));
+            assert!(tree.log.contains("aggregator node covering 4 leaf site(s)"));
+            assert_eq!(
+                tree.workflow.final_weights, flat.workflow.final_weights,
+                "{n} sites: depth-2 tree must be bit-identical to the flat run"
+            );
+            assert_eq!(flat.client_rounds, expected_rounds, "{n} sites, flat");
+            assert_eq!(tree.client_rounds, expected_rounds, "{n} sites, tree");
+            for (t, f) in tree.workflow.rounds.iter().zip(&flat.workflow.rounds) {
+                assert_eq!(
+                    t.contributors, f.contributors,
+                    "round summaries must stay leaf-granular"
+                );
+            }
+        }
     }
 
     #[test]

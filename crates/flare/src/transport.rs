@@ -1,13 +1,20 @@
-//! Frame transports: in-process channels (simulator mode) and TCP.
+//! Frame transports: in-process mailboxes (simulator mode) and TCP.
 //!
-//! Both transports move opaque byte frames; the [`crate::wire`] codec and
+//! There is one in-process channel, the reactor's
+//! [`crate::reactor::FrameQueue`]. Simulated sites attach through
+//! [`crate::server::FlServer::serve_session`], which hands each client
+//! the far end of its session mailbox; [`in_proc_pair`] wires two of the
+//! same queues into a standalone pair for tests. TCP peers attach through
+//! [`crate::server::FlServer::serve_connection`]. Both transports move
+//! opaque byte frames; the [`crate::wire`] codec and
 //! [`crate::security::SecureChannel`] layers sit on top, so the simulator
 //! and a real multi-process deployment run byte-identical protocols.
 
+use crate::reactor::{FrameQueue, QueueRx, QueueTx};
 use crate::FlareError;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Sending half of a connection.
@@ -50,43 +57,19 @@ impl std::fmt::Debug for Connection {
 // In-process transport
 // ---------------------------------------------------------------------
 
-struct ChanTx(Sender<Vec<u8>>);
-
-impl FrameTx for ChanTx {
-    fn send(&mut self, frame: &[u8]) -> Result<(), FlareError> {
-        self.0
-            .send(frame.to_vec())
-            .map_err(|_| FlareError::Transport("in-proc peer disconnected".into()))
-    }
-}
-
-struct ChanRx(Receiver<Vec<u8>>);
-
-impl FrameRx for ChanRx {
-    fn recv(&mut self, timeout: Duration) -> Result<Vec<u8>, FlareError> {
-        match self.0.recv_timeout(timeout) {
-            Ok(f) => Ok(f),
-            Err(RecvTimeoutError::Timeout) => Err(FlareError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(FlareError::Transport("in-proc peer disconnected".into()))
-            }
-        }
-    }
-}
-
-/// Creates a connected in-process pair (simulator mode). Channels are
-/// bounded to apply backpressure like a real socket.
+/// Creates a connected in-process pair from two reactor mailboxes, one
+/// per direction. Dropping either end closes both of its queues, so the
+/// peer sees a disconnect instead of hanging.
 pub fn in_proc_pair() -> (Connection, Connection) {
-    let (a_tx, b_rx) = bounded::<Vec<u8>>(256);
-    let (b_tx, a_rx) = bounded::<Vec<u8>>(256);
+    let (a_to_b, b_to_a) = (FrameQueue::new(), FrameQueue::new());
     (
         Connection {
-            tx: Box::new(ChanTx(a_tx)),
-            rx: Box::new(ChanRx(a_rx)),
+            tx: Box::new(QueueTx(Arc::clone(&a_to_b))),
+            rx: Box::new(QueueRx(Arc::clone(&b_to_a))),
         },
         Connection {
-            tx: Box::new(ChanTx(b_tx)),
-            rx: Box::new(ChanRx(b_rx)),
+            tx: Box::new(QueueTx(b_to_a)),
+            rx: Box::new(QueueRx(a_to_b)),
         },
     )
 }

@@ -40,7 +40,7 @@ impl TokenBatch<'_> {
 }
 
 /// Which of the paper's three models a component refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// BERT (hidden 128, 6 heads, 12 layers).
     Bert,

@@ -19,7 +19,7 @@ use std::fmt;
 /// assert_eq!(t.matmul(&t).data(), &[7.0, 10.0, 15.0, 22.0]);
 /// # Ok::<(), clinfl_tensor::TensorError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -608,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_display() {
+    fn display_shows_shape() {
         let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let shown = t.to_string();
         assert!(shown.contains("Tensor[2, 2]"), "{shown}");

@@ -3,7 +3,7 @@
 use crate::vocab::{SpecialToken, Vocab};
 
 /// A tokenized sequence: ids plus an attention mask.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Encoded {
     /// Token ids, exactly `max_len` long (`[CLS] events… [SEP] [PAD]…`).
     pub ids: Vec<u32>,
@@ -25,7 +25,7 @@ impl Encoded {
 /// needed. Sequences are wrapped as `[CLS] e1 e2 … [SEP]`, truncated to
 /// keep the **most recent** events (the clinically informative ones for
 /// outcome prediction), and padded to `max_len`.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClinicalTokenizer {
     vocab: Vocab,
     max_len: usize,

@@ -57,10 +57,9 @@ impl SpecialToken {
 /// Ids `0..=4` are always the [`SpecialToken`]s; regular tokens follow in
 /// insertion order, making vocabulary construction deterministic — a
 /// requirement for federated sites to agree on the token space.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Vocab {
     tokens: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, u32>,
 }
 

@@ -2,7 +2,9 @@
 # Full local CI gate — the exact legs .github/workflows/ci.yml runs, so a
 # green local run means a green CI run:
 #
-#   build          release build of the whole workspace
+#   build          release build of the whole workspace with --locked, so a
+#                  Cargo.lock that no longer matches the manifests fails
+#                  instead of being rewritten silently
 #   test-serial    full test suite under CLINFL_THREADS=1
 #   test-parallel  full test suite under the default thread budget
 #   test-faults    full test suite under CLINFL_FAULTS=aggressive
@@ -108,7 +110,7 @@ leg() {
 
 run_leg() {
     case "$1" in
-    build) leg build cargo build --workspace --release ;;
+    build) leg build cargo build --workspace --release --locked ;;
     test-serial) leg test-serial env CLINFL_THREADS=1 cargo test --workspace --release -q ;;
     test-parallel) leg test-parallel cargo test --workspace --release -q ;;
     test-faults) leg test-faults env CLINFL_FAULTS=aggressive cargo test --workspace --release -q ;;

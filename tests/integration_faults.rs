@@ -351,7 +351,6 @@ mod liveness {
     use clinfl_flare::client::FlClient;
     use clinfl_flare::provision::Project;
     use clinfl_flare::server::FlServer;
-    use clinfl_flare::transport::in_proc_pair;
     use clinfl_flare::EventLog;
     use std::time::Instant;
 
@@ -362,11 +361,13 @@ mod liveness {
         let project = Project::with_n_sites("simulator_server", 1, 5);
         let provisioned = project.provision();
         let mut server = FlServer::new(provisioned.server.clone(), log.clone(), 5);
-        let (server_side, client_side) = in_proc_pair();
-        server.serve_connection(server_side);
-        let mut client =
-            FlClient::register(client_side, &provisioned.sites[0], 0xBEEF, log.clone())
-                .expect("registration");
+        let mut client = FlClient::register(
+            server.serve_session(),
+            &provisioned.sites[0],
+            0xBEEF,
+            log.clone(),
+        )
+        .expect("registration");
         assert_eq!(server.wait_for_clients(1, Duration::from_secs(5)), 1);
 
         // Freshly registered: not stale at a coarse threshold.
@@ -415,11 +416,13 @@ mod liveness {
         let project = Project::with_n_sites("simulator_server", 1, 5);
         let provisioned = project.provision();
         let mut server = FlServer::new(provisioned.server.clone(), log.clone(), 5);
-        let (server_side, client_side) = in_proc_pair();
-        server.serve_connection(server_side);
-        let mut client =
-            FlClient::register(client_side, &provisioned.sites[0], 0xBEEF, log.clone())
-                .expect("registration");
+        let mut client = FlClient::register(
+            server.serve_session(),
+            &provisioned.sites[0],
+            0xBEEF,
+            log.clone(),
+        )
+        .expect("registration");
         // A scoped registry isolates this client's counters from every
         // other test running in the process.
         let obs = clinfl_obs::Registry::new();
