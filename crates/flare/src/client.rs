@@ -7,14 +7,12 @@
 //! emitted while the client waits out a retry so the server's liveness
 //! table can tell "slow" from "gone".
 
-use crate::codec::{
-    decode_weights, wire_count, CodecSpec, EncodedWeights, PayloadCache, UplinkEncoder, NO_BASE,
-};
+use crate::codec::{decode_weights, wire_count, CodecSpec, PayloadCache, UplinkEncoder, NO_BASE};
 use crate::dxo::{Dxo, DxoKind, Weights};
 use crate::executor::{Executor, TaskContext};
 use crate::filters::FilterChain;
 use crate::log::EventLog;
-use crate::messages::{ClientMessage, ServerMessage, ShardPayload, TaskAssignment};
+use crate::messages::{ClientMessage, Payload, ServerMessage, TaskAssignment};
 use crate::provision::SitePackage;
 use crate::security::{DhKeyPair, SecureChannel};
 use crate::transport::Connection;
@@ -23,7 +21,7 @@ use crate::FlareError;
 use clinfl_obs::{Counter, Registry};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One obs counter kept in two views: the per-site series
 /// (`flare.site.<site>.<what>`) and the fleet-wide aggregate
@@ -137,16 +135,14 @@ pub struct FlClient {
     filters: FilterChain,
     retry: RetryPolicy,
     obs: ClientObs,
-    /// Codec this client *wants* (negotiated at the start of [`Self::run`]).
-    wire: CodecSpec,
-    /// Codec actually negotiated with the server; `None` = raw.
-    active: Option<CodecSpec>,
     /// Reconstructions of recent downlink payloads (delta bases).
     cache: PayloadCache,
-    /// Uplink encoder (error-feedback state) once negotiated.
+    /// Uplink encoder (error-feedback state) for the codec the server
+    /// chose at registration; `None` = raw.
     uplink: Option<UplinkEncoder>,
-    /// Server messages that raced in during codec negotiation.
-    pending: VecDeque<ServerMessage>,
+    /// Tasks drained by [`Self::poll_pending_task`], awaiting
+    /// [`Self::next_task`].
+    pending: VecDeque<TaskAssignment>,
     /// Whether this site has already logged a best-effort send failure
     /// (the counter keeps ticking; the warning fires once per site).
     send_error_warned: bool,
@@ -163,7 +159,9 @@ impl std::fmt::Debug for FlClient {
 
 impl FlClient {
     /// Registers with the server over `conn` using the provisioned
-    /// `package`, performing the token check and key agreement.
+    /// `package`, performing the token check and key agreement, and asks
+    /// for the `wire` codec. The server's `RegisterAck` names the codec
+    /// the session uses (`raw` when the server pins it).
     ///
     /// # Errors
     ///
@@ -173,13 +171,16 @@ impl FlClient {
         mut conn: Connection,
         package: &SitePackage,
         dh_secret: u64,
+        wire: &CodecSpec,
         log: EventLog,
     ) -> Result<Self, FlareError> {
+        let site = &package.site_name;
         let keys = DhKeyPair::from_secret(dh_secret);
         let register = ClientMessage::Register {
-            site: package.site_name.clone(),
+            site: site.clone(),
             token: package.token.clone(),
             dh_public: keys.public,
+            codec: wire.to_string(),
         };
         conn.tx.send(&register.to_frame())?;
         let frame = conn.rx.recv(Duration::from_secs(30))?;
@@ -188,23 +189,33 @@ impl FlClient {
             accepted,
             session,
             dh_public,
+            codec,
         } = msg
         else {
             return Err(FlareError::Codec("expected RegisterAck".into()));
         };
         if !accepted {
-            return Err(FlareError::InvalidToken {
-                site: package.site_name.clone(),
-            });
+            return Err(FlareError::InvalidToken { site: site.clone() });
         }
+        let chosen = CodecSpec::parse(&codec).map_err(FlareError::Codec)?;
         let key = keys.shared_key(dh_public);
         log.info(
             "FederatedClient",
             format!(
-                "Successfully registered client:{} for project simulator_server. Token:{session}",
-                package.site_name
+                "Successfully registered client:{site} for project simulator_server. Token:{session}"
             ),
         );
+        if !chosen.is_raw() {
+            log.info(
+                "FederatedClient",
+                format!("{site}: negotiated wire codec {chosen}"),
+            );
+        } else if !wire.is_raw() {
+            log.info(
+                "FederatedClient",
+                format!("{site}: server pinned the raw wire format (asked for {wire})"),
+            );
+        }
         Ok(FlClient {
             obs: ClientObs::new(&package.site_name),
             site: package.site_name.clone(),
@@ -215,10 +226,8 @@ impl FlClient {
             log,
             filters: FilterChain::new(),
             retry: RetryPolicy::default(),
-            wire: CodecSpec::raw(),
-            active: None,
             cache: PayloadCache::default(),
-            uplink: None,
+            uplink: (!chosen.is_raw()).then(|| UplinkEncoder::new(chosen)),
             pending: VecDeque::new(),
             send_error_warned: false,
         })
@@ -270,20 +279,6 @@ impl FlClient {
         self.obs = ClientObs::scoped(&obs, "flare.client", &self.site);
     }
 
-    /// Requests a wire codec for weight exchange (see [`crate::codec`]).
-    /// The spec is proposed to the server at the start of [`Self::run`];
-    /// if the server never acknowledges (an old peer), the client falls
-    /// back to the raw format.
-    pub fn set_wire_codec(&mut self, spec: CodecSpec) {
-        self.wire = spec;
-    }
-
-    /// The codec negotiated with the server, if any (`None` before
-    /// [`Self::run`] or after a raw fallback).
-    pub fn active_codec(&self) -> Option<&CodecSpec> {
-        self.active.as_ref()
-    }
-
     fn send_once(&mut self, msg: &ClientMessage) -> Result<(), FlareError> {
         let sealed = self.seal.seal(&msg.to_frame());
         let res = self.conn.tx.send(&sealed);
@@ -294,8 +289,8 @@ impl FlClient {
     }
 
     /// Accounts for a best-effort send that failed: the paths that
-    /// deliberately tolerate failure (duplicate submits, heartbeats, codec
-    /// announce, goodbye) used to drop the error on the floor, leaving a
+    /// deliberately tolerate failure (duplicate submits, heartbeats,
+    /// goodbye) used to drop the error on the floor, leaving a
     /// persistently broken link invisible. Every failure now ticks
     /// `flare.client.send_errors` (plus the per-site series) and the first
     /// one per site logs a warning.
@@ -422,95 +417,16 @@ impl FlClient {
         })
     }
 
-    /// Tells the server this client stays on the raw format, without
-    /// waiting for an acknowledgement (the outcome is raw either way).
-    /// The announcement lets the server's pre-round settle close as soon
-    /// as every client has declared a codec instead of waiting out its
-    /// grace window; a lost or ignored frame merely costs that wait.
-    fn announce_raw(&mut self) {
-        let propose = ClientMessage::CodecPropose {
-            site: self.site.clone(),
-            specs: vec![CodecSpec::raw().to_string()],
-        };
-        if let Err(e) = self.send_with_retry(&propose, "codec announce") {
-            self.note_send_error("codec-announce", &e);
-        }
-    }
-
-    /// Proposes `self.wire` to the server and waits (bounded) for the
-    /// [`ServerMessage::CodecAck`]. Task frames that race in while we
-    /// wait are buffered in `self.pending` and handled by the main loop.
-    /// A server that never acknowledges — an old peer, or repeated frame
-    /// loss — leaves the client on the raw format.
-    fn negotiate(&mut self) {
-        const ATTEMPTS: u32 = 10;
-        const WAIT_PER_ATTEMPT: Duration = Duration::from_millis(300);
-        let propose = ClientMessage::CodecPropose {
-            site: self.site.clone(),
-            specs: vec![self.wire.to_string()],
-        };
-        let mut chosen: Option<String> = None;
-        'attempts: for _ in 0..ATTEMPTS {
-            if self.send_with_retry(&propose, "codec propose").is_err() {
-                break;
-            }
-            let deadline = Instant::now() + WAIT_PER_ATTEMPT;
-            loop {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break; // re-propose (the frame may have been dropped)
-                }
-                match self.conn.rx.recv(left) {
-                    Ok(frame) => {
-                        self.obs.bytes_rx.add(frame.len() as u64);
-                        let Ok(plain) = self.open.open(&frame) else {
-                            continue;
-                        };
-                        let Ok(msg) = ServerMessage::from_frame(&plain) else {
-                            continue;
-                        };
-                        match msg {
-                            ServerMessage::CodecAck { chosen: c, .. } => {
-                                chosen = c;
-                                break 'attempts;
-                            }
-                            other => self.pending.push_back(other),
-                        }
-                    }
-                    Err(FlareError::Timeout) => break,
-                    Err(_) => break 'attempts,
-                }
-            }
-        }
-        match chosen.and_then(|s| CodecSpec::parse(&s).ok()) {
-            Some(sp) if !sp.is_raw() => {
-                self.log.info(
-                    "FederatedClient",
-                    format!("{}: negotiated wire codec {sp}", self.site),
-                );
-                wire_count("flare.wire.codec.negotiated", 1);
-                self.uplink = Some(UplinkEncoder::new(sp.clone()));
-                self.active = Some(sp);
-            }
-            _ => {
-                self.log.warn(
-                    "FederatedClient",
-                    format!(
-                        "{}: wire codec {} not negotiated; using raw format",
-                        self.site, self.wire
-                    ),
-                );
-                wire_count("flare.wire.codec.fallback_raw", 1);
-                self.wire = CodecSpec::raw();
-            }
-        }
-    }
-
-    /// Decodes a codec downlink payload against the cached base and
-    /// stores the reconstruction for future deltas. `None` means the
-    /// frame was unusable (missing base / corrupt); the caller skips the
+    /// The weights of a received task payload: raw payloads pass through;
+    /// encoded ones decode against the cached base, and the
+    /// reconstruction is cached for future deltas. `None` means the
+    /// payload was unusable (missing base / corrupt); the caller skips the
     /// task and waits for the server's next (self-contained) frame.
-    fn decode_downlink(&mut self, enc: &EncodedWeights) -> Option<Weights> {
+    pub fn decode_payload(&mut self, payload: Payload) -> Option<Weights> {
+        let enc = match payload {
+            Payload::Raw(weights) => return Some(weights),
+            Payload::Encoded(enc) => enc,
+        };
         let base = if enc.base_id == NO_BASE {
             None
         } else {
@@ -529,7 +445,7 @@ impl FlClient {
                 }
             }
         };
-        match decode_weights(enc, base.as_ref()) {
+        match decode_weights(&enc, base.as_ref()) {
             Ok(w) => {
                 self.cache.insert(enc.payload_id, w.clone());
                 Some(w)
@@ -545,24 +461,17 @@ impl FlClient {
         }
     }
 
-    /// Builds the uplink submission: codec-encoded when a codec is
-    /// active and the payload is plain weights, raw otherwise (e.g.
-    /// `WeightDiff` produced by a filter chain).
-    fn encode_submit(&mut self, round: u32, dxo: Dxo) -> ClientMessage {
-        if matches!(dxo.kind, DxoKind::Weights) {
+    /// Builds an uplink payload and its ack: codec-encoded against the
+    /// latest downlink when a codec is active and `kind` is plain weights,
+    /// raw (with no ack) otherwise, e.g. for a `WeightDiff` produced by a
+    /// filter chain.
+    fn uplink_payload(&mut self, kind: DxoKind, weights: Weights) -> (u32, Payload) {
+        if kind == DxoKind::Weights {
             if let Some(uplink) = self.uplink.as_mut() {
                 let ack = self.cache.latest_id();
                 let base = ack.and_then(|id| self.cache.get(id).map(|w| (w, id)));
-                match uplink.encode(&dxo.weights, base) {
-                    Ok(enc) => {
-                        return ClientMessage::SubmitEnc {
-                            round,
-                            ack: ack.unwrap_or(NO_BASE),
-                            n_examples: dxo.n_examples,
-                            metrics: dxo.metrics,
-                            enc,
-                        };
-                    }
+                match uplink.encode(&weights, base) {
+                    Ok(enc) => return (ack.unwrap_or(NO_BASE), Payload::Encoded(enc)),
                     Err(e) => {
                         self.log.warn(
                             "FederatedClient",
@@ -572,22 +481,7 @@ impl FlClient {
                 }
             }
         }
-        ClientMessage::Submit { round, dxo }
-    }
-
-    /// Runs codec negotiation if it has not happened yet: proposes the
-    /// configured spec (or announces raw) and settles on the negotiated
-    /// outcome. [`Self::run`] calls this implicitly; interior tree nodes
-    /// driving the task loop by hand via [`Self::next_task`] call it once
-    /// before their first round.
-    pub fn negotiate_codec(&mut self) {
-        if self.active.is_none() {
-            if self.wire.is_raw() {
-                self.announce_raw();
-            } else {
-                self.negotiate();
-            }
-        }
+        (NO_BASE, Payload::Raw(weights))
     }
 
     /// Declares the leaf sites living below this client, turning its
@@ -604,7 +498,7 @@ impl FlClient {
     /// Submits a pre-aggregated shard update: the weighted partial
     /// aggregate of this node's subtree, plus the per-leaf bookkeeping
     /// (contributor metrics and dropped sites) the upstream round needs.
-    /// The payload rides the negotiated uplink codec when one is active.
+    /// The payload rides the uplink codec when one is active.
     ///
     /// # Errors
     ///
@@ -616,33 +510,14 @@ impl FlClient {
         sites: Vec<(String, BTreeMap<String, f64>)>,
         dropped: Vec<String>,
     ) -> Result<(), FlareError> {
-        let mut ack = NO_BASE;
-        let mut payload = None;
-        if matches!(dxo.kind, DxoKind::Weights) {
-            if let Some(uplink) = self.uplink.as_mut() {
-                let latest = self.cache.latest_id();
-                let base = latest.and_then(|id| self.cache.get(id).map(|w| (w, id)));
-                match uplink.encode(&dxo.weights, base) {
-                    Ok(enc) => {
-                        ack = latest.unwrap_or(NO_BASE);
-                        payload = Some(ShardPayload::Encoded(enc));
-                    }
-                    Err(e) => {
-                        self.log.warn(
-                            "FederatedClient",
-                            format!("{}: uplink encode failed ({e}); sending raw", self.site),
-                        );
-                    }
-                }
-            }
-        }
+        let (ack, payload) = self.uplink_payload(dxo.kind, dxo.weights);
         let msg = ClientMessage::SubmitShard {
             round,
             ack,
             n_examples: dxo.n_examples,
             sites,
             dropped,
-            payload: payload.unwrap_or(ShardPayload::Raw(dxo.weights)),
+            payload,
         };
         self.send_redundant(&msg, &format!("submit shard round {round}"))
     }
@@ -666,67 +541,47 @@ impl FlClient {
     }
 
     /// Receives, decrypts, and decodes the next task assignment. Corrupt
-    /// or non-task frames are skipped; encoded tasks are decoded against
-    /// the payload cache (an undecodable payload skips the task and waits
-    /// for the server's next self-contained frame).
+    /// or non-task frames are skipped. Pass the task's payload to
+    /// [`Self::decode_payload`] for its weights.
     ///
     /// # Errors
     ///
     /// Transport failures or an exhausted receive budget.
     pub fn next_task(&mut self) -> Result<TaskAssignment, FlareError> {
+        if let Some(task) = self.pending.pop_front() {
+            return Ok(task);
+        }
         loop {
-            let msg = if let Some(m) = self.pending.pop_front() {
-                m
-            } else {
-                let frame = self.recv_with_retry()?;
-                let plain = match self.open.open(&frame) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        // A truncated/tampered frame is a link fault, not a
-                        // session killer: skip it and wait for the next task.
-                        self.log.warn(
-                            "FederatedClient",
-                            format!("{}: rejected corrupt frame: {e}", self.site),
-                        );
-                        continue;
-                    }
-                };
-                match ServerMessage::from_frame(&plain) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        self.log.warn(
-                            "FederatedClient",
-                            format!("{}: undecodable message: {e}", self.site),
-                        );
-                        continue;
-                    }
-                }
-            };
-            let ServerMessage::Task(task) = msg else {
-                continue;
-            };
-            // Codec tasks decode to their raw counterparts, so callers
-            // only ever see plain-weight assignments.
-            match task {
-                TaskAssignment::TrainEnc {
-                    round,
-                    total_rounds,
-                    enc,
-                } => match self.decode_downlink(&enc) {
-                    Some(weights) => {
-                        return Ok(TaskAssignment::Train {
-                            round,
-                            total_rounds,
-                            weights,
-                        })
-                    }
-                    None => continue,
-                },
-                TaskAssignment::ValidateEnc { round, enc } => match self.decode_downlink(&enc) {
-                    Some(weights) => return Ok(TaskAssignment::Validate { round, weights }),
-                    None => continue,
-                },
-                t => return Ok(t),
+            let frame = self.recv_with_retry()?;
+            if let Some(task) = self.open_task(&frame) {
+                return Ok(task);
+            }
+        }
+    }
+
+    /// Decrypts and decodes one server frame. A truncated or tampered
+    /// frame is a link fault, not a session killer: it is logged and
+    /// skipped (`None`), as is any frame that is not a task.
+    fn open_task(&mut self, frame: &[u8]) -> Option<TaskAssignment> {
+        let plain = match self.open.open(frame) {
+            Ok(p) => p,
+            Err(e) => {
+                self.log.warn(
+                    "FederatedClient",
+                    format!("{}: rejected corrupt frame: {e}", self.site),
+                );
+                return None;
+            }
+        };
+        match ServerMessage::from_frame(&plain) {
+            Ok(ServerMessage::Task(task)) => Some(task),
+            Ok(_) => None,
+            Err(e) => {
+                self.log.warn(
+                    "FederatedClient",
+                    format!("{}: undecodable message: {e}", self.site),
+                );
+                None
             }
         }
     }
@@ -742,41 +597,19 @@ impl FlClient {
     /// avoids the zero-timeout desync hazard of length-prefixed TCP
     /// framing.
     pub fn poll_pending_task(&mut self) -> bool {
-        loop {
-            if self
-                .pending
-                .iter()
-                .any(|m| matches!(m, ServerMessage::Task(_)))
-            {
-                return true;
-            }
+        while self.pending.is_empty() {
             match self.conn.rx.recv(Duration::from_millis(1)) {
                 Ok(frame) => {
                     self.obs.bytes_rx.add(frame.len() as u64);
-                    let plain = match self.open.open(&frame) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            self.log.warn(
-                                "FederatedClient",
-                                format!("{}: rejected corrupt frame: {e}", self.site),
-                            );
-                            continue;
-                        }
-                    };
-                    match ServerMessage::from_frame(&plain) {
-                        Ok(m) => self.pending.push_back(m),
-                        Err(e) => {
-                            self.log.warn(
-                                "FederatedClient",
-                                format!("{}: undecodable message: {e}", self.site),
-                            );
-                        }
+                    if let Some(task) = self.open_task(&frame) {
+                        self.pending.push_back(task);
                     }
                 }
                 Err(FlareError::Timeout) => return false,
                 Err(_) => return true,
             }
         }
+        true
     }
 
     /// Sends the best-effort goodbye that lets the server log a graceful
@@ -822,7 +655,6 @@ impl FlClient {
         behavior: ClientBehavior,
     ) -> Result<u32, FlareError> {
         let mut trained = 0u32;
-        self.negotiate_codec();
         loop {
             let task = match self.next_task() {
                 Ok(t) => t,
@@ -842,8 +674,11 @@ impl FlClient {
                 TaskAssignment::Train {
                     round,
                     total_rounds,
-                    weights,
+                    payload,
                 } => {
+                    let Some(weights) = self.decode_payload(payload) else {
+                        continue;
+                    };
                     if behavior.drop_at_round.is_some_and(|r| round >= r) {
                         self.log.warn(
                             "FederatedClient",
@@ -867,11 +702,28 @@ impl FlClient {
                     drop(permit);
                     dxo = self.filters.apply(dxo, &weights, round);
                     debug_assert!(matches!(dxo.kind, DxoKind::Weights | DxoKind::WeightDiff));
-                    let msg = self.encode_submit(round, dxo);
+                    let Dxo {
+                        kind,
+                        weights,
+                        metrics,
+                        n_examples,
+                    } = dxo;
+                    let (ack, payload) = self.uplink_payload(kind, weights);
+                    let msg = ClientMessage::Submit {
+                        round,
+                        ack,
+                        kind,
+                        n_examples,
+                        metrics,
+                        payload,
+                    };
                     self.send_redundant(&msg, &format!("submit round {round}"))?;
                     trained += 1;
                 }
-                TaskAssignment::Validate { round, weights } => {
+                TaskAssignment::Validate { round, payload } => {
+                    let Some(weights) = self.decode_payload(payload) else {
+                        continue;
+                    };
                     let ctx = TaskContext {
                         site: self.site.clone(),
                         round,
@@ -880,14 +732,10 @@ impl FlClient {
                     let permit = clinfl_tensor::pool::compute_permit();
                     let metric = executor.validate(&weights, &ctx);
                     drop(permit);
-                    let msg = if self.active.is_some() {
-                        ClientMessage::ValidateReportEnc {
-                            round,
-                            metric,
-                            ack: self.cache.latest_id().unwrap_or(NO_BASE),
-                        }
-                    } else {
-                        ClientMessage::ValidateReport { round, metric }
+                    let msg = ClientMessage::ValidateReport {
+                        round,
+                        metric,
+                        ack: self.cache.latest_id().unwrap_or(NO_BASE),
                     };
                     self.send_redundant(&msg, &format!("validate round {round}"))?;
                 }
@@ -896,9 +744,6 @@ impl FlClient {
                     // tearing the session down.
                     self.send_bye();
                     return Ok(trained);
-                }
-                TaskAssignment::TrainEnc { .. } | TaskAssignment::ValidateEnc { .. } => {
-                    unreachable!("encoded tasks decoded in next_task")
                 }
             }
         }

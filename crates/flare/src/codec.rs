@@ -1,11 +1,14 @@
-//! Negotiated wire codec for weight exchange: delta encoding, f16/int8
-//! quantization with error feedback, and optional top-k sparsification.
+//! Wire codec for weight exchange: delta encoding, f16/int8 quantization
+//! with error feedback, and optional top-k sparsification.
 //!
 //! Raw federated rounds ship every tensor as full little-endian f32 in
 //! both directions (see [`crate::wire`]); at 8 sites that is ~40 MB per
 //! round for the paper's LSTM. This module implements the compressed
-//! alternative, negotiated per client at registration time (see the
-//! DESIGN.md §3g wire-format spec for the normative layout):
+//! alternative. The client names its spec in `Register`, the server's
+//! `RegisterAck` carries the spec the session uses, and every
+//! weight-bearing message carries a [`crate::messages::Payload`] that is
+//! either raw or encoded (see the DESIGN.md §3g wire-format spec for the
+//! normative layout):
 //!
 //! * **Delta encoding** — payloads are encoded against a *base* payload
 //!   identified by `base_id`. The server keeps a [`GlobalRing`] of recent
@@ -57,7 +60,7 @@ pub(crate) fn wire_count(name: &str, n: u64) {
 }
 
 // ---------------------------------------------------------------------
-// Codec specification & negotiation strings
+// Codec specification strings
 // ---------------------------------------------------------------------
 
 /// Quantization applied to transmitted values.
@@ -75,8 +78,8 @@ pub enum QuantMode {
 
 /// A parsed wire-codec choice, e.g. `delta+int8` or `delta+topk0.05+f16`.
 ///
-/// The string form (see [`CodecSpec::parse`]) is what clients propose at
-/// negotiation time and what `RuntimeConfig::wire_codec` holds.
+/// The string form (see [`CodecSpec::parse`]) is what clients send in
+/// `Register` and what `RuntimeConfig::wire_codec` holds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CodecSpec {
     /// Encode payloads as deltas against an acknowledged base payload.
@@ -203,10 +206,6 @@ impl std::fmt::Display for CodecSpec {
         f.write_str(&parts.join("+"))
     }
 }
-
-/// Codec families this build understands, advertised in the
-/// negotiation acknowledgement so clients can diagnose rejections.
-pub const SUPPORTED_CODECS: &[&str] = &["raw", "delta", "f16", "int8", "topk<f>"];
 
 // ---------------------------------------------------------------------
 // f16 conversion (no half-float crate in the offline dependency set)
@@ -435,8 +434,9 @@ pub struct EncodedTensor {
 }
 
 /// A complete encoded weight set: the compressed replacement for a raw
-/// [`Weights`] map inside `TrainEnc` / `ValidateEnc` / `SubmitEnc`
-/// messages. The wire form ends in a CRC-32 of the frame body.
+/// [`Weights`] map, carried as [`crate::messages::Payload::Encoded`] in
+/// `Train`, `Validate`, `Submit` and `SubmitShard` messages. The wire form
+/// ends in a CRC-32 of the frame body.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EncodedWeights {
     /// Codec tag of the spec that produced this frame (see
@@ -648,18 +648,19 @@ pub fn raw_weights_wire_size(w: &Weights) -> u64 {
 
 /// Raw-equivalent size of a `ServerMessage::Task` frame carrying
 /// `weights` (Train or Validate — both add 1 message tag + 1 task tag +
-/// one or two u32 round fields to the 3-byte frame magic).
+/// one or two u32 round fields + 1 payload tag to the 3-byte frame magic).
 pub fn raw_task_frame_size(w: &Weights, is_train: bool) -> u64 {
     let rounds = if is_train { 8 } else { 4 };
-    3 + 1 + 1 + rounds + raw_weights_wire_size(w)
+    3 + 1 + 1 + rounds + 1 + raw_weights_wire_size(w)
 }
 
 /// Raw-equivalent size of a `ClientMessage::Submit` frame carrying the
 /// given weights and metrics map.
 pub fn raw_submit_frame_size(w: &Weights, metrics: &BTreeMap<String, f64>) -> u64 {
     let metrics_size = 8 + metrics.keys().map(|k| 8 + k.len() as u64 + 8).sum::<u64>();
-    // magic + message tag + round + dxo{kind + weights + metrics + n_examples}
-    3 + 1 + 4 + 1 + raw_weights_wire_size(w) + metrics_size + 8
+    // magic + message tag + round + ack + kind + n_examples + metrics
+    // + payload tag + weights
+    3 + 1 + 4 + 4 + 1 + 8 + metrics_size + 1 + raw_weights_wire_size(w)
 }
 
 // ---------------------------------------------------------------------
@@ -1909,10 +1910,47 @@ mod tests {
 
     #[test]
     fn raw_sizes_match_actual_encoding() {
+        use crate::dxo::DxoKind;
+        use crate::messages::{ClientMessage, Payload, ServerMessage, TaskAssignment};
         let cur = w(&[("layer.weight", vec![0.5; 37]), ("bias", vec![1.0; 3])]);
         let mut buf = Vec::new();
         cur.encode(&mut buf);
         assert_eq!(raw_weights_wire_size(&cur), buf.len() as u64);
+
+        let train = ServerMessage::Task(TaskAssignment::Train {
+            round: 3,
+            total_rounds: 10,
+            payload: Payload::Raw(cur.clone()),
+        });
+        assert_eq!(
+            raw_task_frame_size(&cur, true),
+            train.to_frame().len() as u64
+        );
+        let validate = ServerMessage::Task(TaskAssignment::Validate {
+            round: 3,
+            payload: Payload::Raw(cur.clone()),
+        });
+        assert_eq!(
+            raw_task_frame_size(&cur, false),
+            validate.to_frame().len() as u64
+        );
+        for metrics in [
+            BTreeMap::new(),
+            BTreeMap::from([("train_loss".to_string(), 0.5), ("acc".to_string(), 0.9)]),
+        ] {
+            let submit = ClientMessage::Submit {
+                round: 3,
+                ack: 7,
+                kind: DxoKind::Weights,
+                n_examples: 866,
+                metrics: metrics.clone(),
+                payload: Payload::Raw(cur.clone()),
+            };
+            assert_eq!(
+                raw_submit_frame_size(&cur, &metrics),
+                submit.to_frame().len() as u64
+            );
+        }
     }
 
     // -- ring behaviour -------------------------------------------------

@@ -5,7 +5,7 @@ use crate::aggregator::Aggregator;
 use crate::checkpoint::RunCheckpoint;
 use crate::dxo::{Dxo, Weights};
 use crate::log::EventLog;
-use crate::messages::TaskAssignment;
+use crate::messages::{Payload, TaskAssignment};
 use crate::persistor::Persistor;
 use crate::FlareError;
 use std::collections::BTreeMap;
@@ -396,7 +396,7 @@ impl ScatterAndGather {
             let train = TaskAssignment::Train {
                 round,
                 total_rounds: self.config.rounds,
-                weights: global.clone(),
+                payload: Payload::Raw(global.clone()),
             };
             let sent = if sampling {
                 gateway.send_to(&expected_sites, &train)
@@ -501,7 +501,7 @@ impl ScatterAndGather {
                 let expected = gateway.leaf_sites().len();
                 gateway.broadcast(&TaskAssignment::Validate {
                     round,
-                    weights: global.clone(),
+                    payload: Payload::Raw(global.clone()),
                 });
                 let Some(mut reports) = gateway.gather_validations(
                     round,
@@ -614,7 +614,12 @@ mod tests {
         }
 
         fn broadcast(&mut self, task: &TaskAssignment) -> usize {
-            if let TaskAssignment::Train { round, weights, .. } = task {
+            if let TaskAssignment::Train {
+                round,
+                payload: Payload::Raw(weights),
+                ..
+            } = task
+            {
                 self.current_global = weights.clone();
                 self.pending_round = Some(*round);
             }

@@ -14,8 +14,8 @@
 //! lets the chaos tests (and CI) assert fault events reproduce run-to-run.
 //!
 //! Frame `0` of each direction is exempt: it carries the plaintext
-//! registration handshake, and a federation that cannot even join is not
-//! an interesting chaos scenario.
+//! registration handshake (and with it the wire-codec choice), and a
+//! federation that cannot even join is not an interesting chaos scenario.
 
 use crate::log::EventLog;
 use crate::transport::{Connection, FrameRx, FrameTx};

@@ -1,7 +1,7 @@
 //! The client/server message protocol and its wire encodings.
 
 use crate::codec::EncodedWeights;
-use crate::dxo::{Dxo, DxoKind, WeightTensor, Weights};
+use crate::dxo::{DxoKind, WeightTensor, Weights};
 use crate::wire::{WireDecode, WireEncode, WireReader};
 use crate::FlareError;
 use std::collections::BTreeMap;
@@ -19,13 +19,26 @@ pub enum ClientMessage {
         token: String,
         /// Client's ephemeral Diffie–Hellman public value.
         dh_public: u64,
+        /// Canonical wire-codec spec the client asks for (see
+        /// [`crate::codec::CodecSpec::parse`]); `raw` for plain weights.
+        codec: String,
     },
     /// A local training result for a round.
     Submit {
         /// Round the update belongs to.
         round: u32,
-        /// The update payload.
-        dxo: Dxo,
+        /// Most recent downlink payload id this client reconstructed
+        /// (the server's delta base for future downlinks), or
+        /// [`crate::codec::NO_BASE`].
+        ack: u32,
+        /// What the weights are (full weights or a diff).
+        kind: DxoKind,
+        /// Training-set size for weighted FedAvg.
+        n_examples: u64,
+        /// Scalar metrics (train loss etc.).
+        metrics: BTreeMap<String, f64>,
+        /// The update's weights.
+        payload: Payload,
     },
     /// Result of validating the broadcast global model locally.
     ValidateReport {
@@ -33,6 +46,9 @@ pub enum ClientMessage {
         round: u32,
         /// Metric value (top-1 accuracy).
         metric: f64,
+        /// Most recent downlink payload id this client reconstructed,
+        /// or [`crate::codec::NO_BASE`].
+        ack: u32,
     },
     /// Graceful disconnect.
     Bye {
@@ -44,43 +60,6 @@ pub enum ClientMessage {
     Heartbeat {
         /// Site name.
         site: String,
-    },
-    /// Wire-codec negotiation: the client proposes codec specs in
-    /// preference order (see [`crate::codec::CodecSpec::parse`] for the
-    /// string grammar). Servers predating the codec layer ignore this
-    /// message, which the client treats as "negotiate raw".
-    CodecPropose {
-        /// Site name.
-        site: String,
-        /// Proposed codec spec strings, most preferred first.
-        specs: Vec<String>,
-    },
-    /// A local training result encoded with the negotiated wire codec
-    /// (the compressed counterpart of [`ClientMessage::Submit`]).
-    SubmitEnc {
-        /// Round the update belongs to.
-        round: u32,
-        /// Most recent downlink payload id this client reconstructed
-        /// (the server's delta base for future downlinks), or
-        /// [`crate::codec::NO_BASE`].
-        ack: u32,
-        /// Training-set size for weighted FedAvg.
-        n_examples: u64,
-        /// Scalar metrics (train loss etc.).
-        metrics: BTreeMap<String, f64>,
-        /// The encoded weight payload.
-        enc: EncodedWeights,
-    },
-    /// Validation report that also carries the client's downlink ack
-    /// (the compressed counterpart of [`ClientMessage::ValidateReport`]).
-    ValidateReportEnc {
-        /// Round validated.
-        round: u32,
-        /// Metric value (top-1 accuracy).
-        metric: f64,
-        /// Most recent downlink payload id this client reconstructed,
-        /// or [`crate::codec::NO_BASE`].
-        ack: u32,
     },
     /// A pre-aggregated update from an interior tree-aggregator node: one
     /// weighted partial FedAvg over the node's shard of sites, plus the
@@ -100,8 +79,8 @@ pub enum ClientMessage {
         sites: Vec<(String, std::collections::BTreeMap<String, f64>)>,
         /// Leaf sites this node expected but did not hear from.
         dropped: Vec<String>,
-        /// The partial-aggregate weights, raw or codec-encoded.
-        payload: ShardPayload,
+        /// The partial-aggregate weights.
+        payload: Payload,
     },
     /// Per-leaf validation metrics relayed by an interior tree node
     /// (counterpart of [`ClientMessage::ValidateReport`] for a shard).
@@ -115,32 +94,33 @@ pub enum ClientMessage {
         reports: Vec<(String, f64)>,
     },
     /// Announces which leaf sites live below this client (sent by
-    /// interior tree nodes right after registration, before any codec
-    /// negotiation). A server that never receives one treats the client
-    /// as a single leaf.
+    /// interior tree nodes right after registration). A server that
+    /// never receives one treats the client as a single leaf.
     AnnounceLeaves {
         /// Leaf site names below this client, sorted.
         sites: Vec<String>,
     },
 }
 
-/// The weight payload of a [`ClientMessage::SubmitShard`].
+/// The weights of a weight-bearing exchange (`Train`, `Validate`,
+/// `Submit`, `SubmitShard`).
 #[derive(Clone, Debug, PartialEq)]
-pub enum ShardPayload {
-    /// Plain full-precision weights.
+pub enum Payload {
+    /// Plain full-precision weights. No CRC trailer: the transport MAC
+    /// already authenticates the frame.
     Raw(Weights),
-    /// Weights encoded with the codec this node negotiated upstream.
+    /// Weights encoded with the codec agreed at registration.
     Encoded(EncodedWeights),
 }
 
-impl WireEncode for ShardPayload {
+impl WireEncode for Payload {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            ShardPayload::Raw(w) => {
+            Payload::Raw(w) => {
                 0u8.encode(out);
                 w.encode(out);
             }
-            ShardPayload::Encoded(enc) => {
+            Payload::Encoded(enc) => {
                 1u8.encode(out);
                 enc.encode(out);
             }
@@ -148,12 +128,12 @@ impl WireEncode for ShardPayload {
     }
 }
 
-impl WireDecode for ShardPayload {
+impl WireDecode for Payload {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, FlareError> {
         match u8::decode(r)? {
-            0 => Ok(ShardPayload::Raw(BTreeMap::decode(r)?)),
-            1 => Ok(ShardPayload::Encoded(EncodedWeights::decode(r)?)),
-            b => Err(FlareError::Codec(format!("invalid ShardPayload tag {b}"))),
+            0 => Ok(Payload::Raw(BTreeMap::decode(r)?)),
+            1 => Ok(Payload::Encoded(EncodedWeights::decode(r)?)),
+            b => Err(FlareError::Codec(format!("invalid Payload tag {b}"))),
         }
     }
 }
@@ -184,66 +164,70 @@ fn decode_pairs<A: WireDecode, B: WireDecode>(
 pub enum ServerMessage {
     /// Reply to [`ClientMessage::Register`].
     RegisterAck {
-        /// Whether the token was accepted.
+        /// Whether the registration was accepted.
         accepted: bool,
         /// Session identifier (the "Token: …" line of Fig. 3).
         session: String,
         /// Server's ephemeral Diffie–Hellman public value.
         dh_public: u64,
+        /// Canonical wire-codec spec the session uses (`raw` for plain
+        /// weights).
+        codec: String,
     },
     /// A task assignment.
     Task(TaskAssignment),
-    /// Reply to [`ClientMessage::CodecPropose`]: the chosen spec (or
-    /// `None` when no proposal parsed) plus the codec families this
-    /// server supports, for client-side diagnostics.
-    CodecAck {
-        /// Accepted codec spec string, canonical form; `None` = raw.
-        chosen: Option<String>,
-        /// Codec families the server understands (see
-        /// [`crate::codec::SUPPORTED_CODECS`]).
-        supported: Vec<String>,
-    },
 }
 
 /// The unit of work the ScatterAndGather controller assigns.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TaskAssignment {
-    /// Train locally starting from `weights`.
+    /// Train locally starting from the payload's weights.
     Train {
         /// Current round (0-based).
         round: u32,
         /// Total rounds `E`.
         total_rounds: u32,
         /// Global model weights.
-        weights: Weights,
+        payload: Payload,
     },
-    /// Validate `weights` locally and report the metric.
+    /// Validate the payload's weights locally and report the metric.
     Validate {
         /// Round being validated.
         round: u32,
         /// Global model weights.
-        weights: Weights,
+        payload: Payload,
     },
     /// Workflow finished; disconnect.
     Finish,
-    /// Train task whose weights arrive via the negotiated wire codec
-    /// (the compressed counterpart of [`TaskAssignment::Train`]).
-    TrainEnc {
-        /// Current round (0-based).
-        round: u32,
-        /// Total rounds `E`.
-        total_rounds: u32,
-        /// Encoded global model payload.
-        enc: EncodedWeights,
-    },
-    /// Validate task with codec-encoded weights (the compressed
-    /// counterpart of [`TaskAssignment::Validate`]).
-    ValidateEnc {
-        /// Round being validated.
-        round: u32,
-        /// Encoded global model payload.
-        enc: EncodedWeights,
-    },
+}
+
+impl TaskAssignment {
+    /// The task's weights, if it carries any.
+    pub fn payload(&self) -> Option<&Payload> {
+        match self {
+            TaskAssignment::Train { payload, .. } | TaskAssignment::Validate { payload, .. } => {
+                Some(payload)
+            }
+            TaskAssignment::Finish => None,
+        }
+    }
+
+    /// The same task carrying `payload` instead (`Finish` stays as is).
+    pub fn with_payload(&self, payload: Payload) -> TaskAssignment {
+        match *self {
+            TaskAssignment::Train {
+                round,
+                total_rounds,
+                ..
+            } => TaskAssignment::Train {
+                round,
+                total_rounds,
+                payload,
+            },
+            TaskAssignment::Validate { round, .. } => TaskAssignment::Validate { round, payload },
+            TaskAssignment::Finish => TaskAssignment::Finish,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -261,8 +245,9 @@ impl WireDecode for WeightTensor {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, FlareError> {
         let dims: Vec<usize> = Vec::decode(r)?;
         let data: Vec<f32> = Vec::decode(r)?;
-        let expect: usize = dims.iter().product();
-        if expect != data.len() {
+        // Checked: the dims are untrusted and may overflow when multiplied.
+        let expect = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if expect != Some(data.len()) {
             return Err(FlareError::Codec(format!(
                 "weight tensor dims {dims:?} disagree with {} data values",
                 data.len()
@@ -294,26 +279,6 @@ impl WireDecode for DxoKind {
     }
 }
 
-impl WireEncode for Dxo {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.kind.encode(out);
-        self.weights.encode(out);
-        self.metrics.encode(out);
-        self.n_examples.encode(out);
-    }
-}
-
-impl WireDecode for Dxo {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, FlareError> {
-        Ok(Dxo {
-            kind: DxoKind::decode(r)?,
-            weights: BTreeMap::decode(r)?,
-            metrics: BTreeMap::decode(r)?,
-            n_examples: u64::decode(r)?,
-        })
-    }
-}
-
 impl WireEncode for ClientMessage {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -321,21 +286,35 @@ impl WireEncode for ClientMessage {
                 site,
                 token,
                 dh_public,
+                codec,
             } => {
                 0u8.encode(out);
                 site.encode(out);
                 token.encode(out);
                 dh_public.encode(out);
+                codec.encode(out);
             }
-            ClientMessage::Submit { round, dxo } => {
+            ClientMessage::Submit {
+                round,
+                ack,
+                kind,
+                n_examples,
+                metrics,
+                payload,
+            } => {
                 1u8.encode(out);
                 round.encode(out);
-                dxo.encode(out);
+                ack.encode(out);
+                kind.encode(out);
+                n_examples.encode(out);
+                metrics.encode(out);
+                payload.encode(out);
             }
-            ClientMessage::ValidateReport { round, metric } => {
+            ClientMessage::ValidateReport { round, metric, ack } => {
                 2u8.encode(out);
                 round.encode(out);
                 metric.encode(out);
+                ack.encode(out);
             }
             ClientMessage::Bye { site } => {
                 3u8.encode(out);
@@ -345,31 +324,6 @@ impl WireEncode for ClientMessage {
                 4u8.encode(out);
                 site.encode(out);
             }
-            ClientMessage::CodecPropose { site, specs } => {
-                5u8.encode(out);
-                site.encode(out);
-                specs.encode(out);
-            }
-            ClientMessage::SubmitEnc {
-                round,
-                ack,
-                n_examples,
-                metrics,
-                enc,
-            } => {
-                6u8.encode(out);
-                round.encode(out);
-                ack.encode(out);
-                n_examples.encode(out);
-                metrics.encode(out);
-                enc.encode(out);
-            }
-            ClientMessage::ValidateReportEnc { round, metric, ack } => {
-                7u8.encode(out);
-                round.encode(out);
-                metric.encode(out);
-                ack.encode(out);
-            }
             ClientMessage::SubmitShard {
                 round,
                 ack,
@@ -378,7 +332,7 @@ impl WireEncode for ClientMessage {
                 dropped,
                 payload,
             } => {
-                8u8.encode(out);
+                5u8.encode(out);
                 round.encode(out);
                 ack.encode(out);
                 n_examples.encode(out);
@@ -391,13 +345,13 @@ impl WireEncode for ClientMessage {
                 ack,
                 reports,
             } => {
-                9u8.encode(out);
+                6u8.encode(out);
                 round.encode(out);
                 ack.encode(out);
                 encode_pairs(reports, out);
             }
             ClientMessage::AnnounceLeaves { sites } => {
-                10u8.encode(out);
+                7u8.encode(out);
                 sites.encode(out);
             }
         }
@@ -411,14 +365,20 @@ impl WireDecode for ClientMessage {
                 site: String::decode(r)?,
                 token: String::decode(r)?,
                 dh_public: u64::decode(r)?,
+                codec: String::decode(r)?,
             }),
             1 => Ok(ClientMessage::Submit {
                 round: u32::decode(r)?,
-                dxo: Dxo::decode(r)?,
+                ack: u32::decode(r)?,
+                kind: DxoKind::decode(r)?,
+                n_examples: u64::decode(r)?,
+                metrics: BTreeMap::decode(r)?,
+                payload: Payload::decode(r)?,
             }),
             2 => Ok(ClientMessage::ValidateReport {
                 round: u32::decode(r)?,
                 metric: f64::decode(r)?,
+                ack: u32::decode(r)?,
             }),
             3 => Ok(ClientMessage::Bye {
                 site: String::decode(r)?,
@@ -426,36 +386,20 @@ impl WireDecode for ClientMessage {
             4 => Ok(ClientMessage::Heartbeat {
                 site: String::decode(r)?,
             }),
-            5 => Ok(ClientMessage::CodecPropose {
-                site: String::decode(r)?,
-                specs: Vec::decode(r)?,
-            }),
-            6 => Ok(ClientMessage::SubmitEnc {
-                round: u32::decode(r)?,
-                ack: u32::decode(r)?,
-                n_examples: u64::decode(r)?,
-                metrics: BTreeMap::decode(r)?,
-                enc: EncodedWeights::decode(r)?,
-            }),
-            7 => Ok(ClientMessage::ValidateReportEnc {
-                round: u32::decode(r)?,
-                metric: f64::decode(r)?,
-                ack: u32::decode(r)?,
-            }),
-            8 => Ok(ClientMessage::SubmitShard {
+            5 => Ok(ClientMessage::SubmitShard {
                 round: u32::decode(r)?,
                 ack: u32::decode(r)?,
                 n_examples: u64::decode(r)?,
                 sites: decode_pairs(r)?,
                 dropped: Vec::decode(r)?,
-                payload: ShardPayload::decode(r)?,
+                payload: Payload::decode(r)?,
             }),
-            9 => Ok(ClientMessage::ValidateShard {
+            6 => Ok(ClientMessage::ValidateShard {
                 round: u32::decode(r)?,
                 ack: u32::decode(r)?,
                 reports: decode_pairs(r)?,
             }),
-            10 => Ok(ClientMessage::AnnounceLeaves {
+            7 => Ok(ClientMessage::AnnounceLeaves {
                 sites: Vec::decode(r)?,
             }),
             b => Err(FlareError::Codec(format!("invalid ClientMessage tag {b}"))),
@@ -469,34 +413,19 @@ impl WireEncode for TaskAssignment {
             TaskAssignment::Train {
                 round,
                 total_rounds,
-                weights,
+                payload,
             } => {
                 0u8.encode(out);
                 round.encode(out);
                 total_rounds.encode(out);
-                weights.encode(out);
+                payload.encode(out);
             }
-            TaskAssignment::Validate { round, weights } => {
+            TaskAssignment::Validate { round, payload } => {
                 1u8.encode(out);
                 round.encode(out);
-                weights.encode(out);
+                payload.encode(out);
             }
             TaskAssignment::Finish => 2u8.encode(out),
-            TaskAssignment::TrainEnc {
-                round,
-                total_rounds,
-                enc,
-            } => {
-                3u8.encode(out);
-                round.encode(out);
-                total_rounds.encode(out);
-                enc.encode(out);
-            }
-            TaskAssignment::ValidateEnc { round, enc } => {
-                4u8.encode(out);
-                round.encode(out);
-                enc.encode(out);
-            }
         }
     }
 }
@@ -507,22 +436,13 @@ impl WireDecode for TaskAssignment {
             0 => Ok(TaskAssignment::Train {
                 round: u32::decode(r)?,
                 total_rounds: u32::decode(r)?,
-                weights: BTreeMap::decode(r)?,
+                payload: Payload::decode(r)?,
             }),
             1 => Ok(TaskAssignment::Validate {
                 round: u32::decode(r)?,
-                weights: BTreeMap::decode(r)?,
+                payload: Payload::decode(r)?,
             }),
             2 => Ok(TaskAssignment::Finish),
-            3 => Ok(TaskAssignment::TrainEnc {
-                round: u32::decode(r)?,
-                total_rounds: u32::decode(r)?,
-                enc: EncodedWeights::decode(r)?,
-            }),
-            4 => Ok(TaskAssignment::ValidateEnc {
-                round: u32::decode(r)?,
-                enc: EncodedWeights::decode(r)?,
-            }),
             b => Err(FlareError::Codec(format!("invalid TaskAssignment tag {b}"))),
         }
     }
@@ -535,20 +455,17 @@ impl WireEncode for ServerMessage {
                 accepted,
                 session,
                 dh_public,
+                codec,
             } => {
                 0u8.encode(out);
                 accepted.encode(out);
                 session.encode(out);
                 dh_public.encode(out);
+                codec.encode(out);
             }
             ServerMessage::Task(t) => {
                 1u8.encode(out);
                 t.encode(out);
-            }
-            ServerMessage::CodecAck { chosen, supported } => {
-                2u8.encode(out);
-                chosen.encode(out);
-                supported.encode(out);
             }
         }
     }
@@ -561,12 +478,9 @@ impl WireDecode for ServerMessage {
                 accepted: bool::decode(r)?,
                 session: String::decode(r)?,
                 dh_public: u64::decode(r)?,
+                codec: String::decode(r)?,
             }),
             1 => Ok(ServerMessage::Task(TaskAssignment::decode(r)?)),
-            2 => Ok(ServerMessage::CodecAck {
-                chosen: Option::decode(r)?,
-                supported: Vec::decode(r)?,
-            }),
             b => Err(FlareError::Codec(format!("invalid ServerMessage tag {b}"))),
         }
     }
@@ -575,6 +489,7 @@ impl WireDecode for ServerMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{encode_weights, CodecSpec, NO_BASE};
 
     fn weights() -> Weights {
         let mut w = Weights::new();
@@ -584,6 +499,11 @@ mod tests {
         );
         w.insert("layer.b".into(), WeightTensor::new(vec![3], vec![0.; 3]));
         w
+    }
+
+    fn encoded() -> Payload {
+        let spec = CodecSpec::parse("delta+int8").unwrap();
+        Payload::Encoded(encode_weights(&weights(), 1, None, &spec, None).unwrap())
     }
 
     fn roundtrip<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(v: T) {
@@ -596,22 +516,25 @@ mod tests {
             site: "site-1".into(),
             token: "2c15ddc6".into(),
             dh_public: 123456789,
+            codec: "delta+int8".into(),
         });
         let mut metrics = BTreeMap::new();
         metrics.insert("train_loss".to_string(), 0.919);
         metrics.insert("valid_acc".to_string(), 0.496);
-        roundtrip(ClientMessage::Submit {
-            round: 3,
-            dxo: Dxo {
+        for (ack, payload) in [(NO_BASE, Payload::Raw(weights())), (3, encoded())] {
+            roundtrip(ClientMessage::Submit {
+                round: 3,
+                ack,
                 kind: DxoKind::Weights,
-                weights: weights(),
-                metrics,
                 n_examples: 866,
-            },
-        });
+                metrics: metrics.clone(),
+                payload,
+            });
+        }
         roundtrip(ClientMessage::ValidateReport {
             round: 9,
             metric: 0.875,
+            ack: NO_BASE,
         });
         roundtrip(ClientMessage::Bye {
             site: "site-8".into(),
@@ -622,60 +545,41 @@ mod tests {
     }
 
     #[test]
-    fn codec_messages_roundtrip() {
-        use crate::codec::{encode_weights, CodecSpec, NO_BASE};
-        roundtrip(ClientMessage::CodecPropose {
-            site: "site-1".into(),
-            specs: vec!["delta+int8".into(), "delta".into()],
-        });
-        let spec = CodecSpec::parse("delta+int8").unwrap();
-        let enc = encode_weights(&weights(), 1, None, &spec, None).unwrap();
-        let mut metrics = BTreeMap::new();
-        metrics.insert("train_loss".to_string(), 0.42);
-        roundtrip(ClientMessage::SubmitEnc {
-            round: 2,
-            ack: 3,
-            n_examples: 866,
-            metrics,
-            enc: enc.clone(),
-        });
-        roundtrip(ClientMessage::ValidateReportEnc {
-            round: 2,
-            metric: 0.5,
-            ack: NO_BASE,
-        });
-        roundtrip(ServerMessage::CodecAck {
-            chosen: Some("delta+int8".into()),
-            supported: vec!["raw".into(), "delta".into()],
-        });
-        roundtrip(ServerMessage::Task(TaskAssignment::TrainEnc {
-            round: 0,
-            total_rounds: 2,
-            enc: enc.clone(),
-        }));
-        roundtrip(ServerMessage::Task(TaskAssignment::ValidateEnc {
-            round: 0,
-            enc,
-        }));
-    }
-
-    #[test]
     fn server_messages_roundtrip() {
         roundtrip(ServerMessage::RegisterAck {
             accepted: true,
             session: "64245db0".into(),
             dh_public: 42,
+            codec: "raw".into(),
         });
-        roundtrip(ServerMessage::Task(TaskAssignment::Train {
-            round: 0,
-            total_rounds: 10,
-            weights: weights(),
-        }));
-        roundtrip(ServerMessage::Task(TaskAssignment::Validate {
-            round: 1,
-            weights: weights(),
-        }));
+        for payload in [Payload::Raw(weights()), encoded()] {
+            roundtrip(ServerMessage::Task(TaskAssignment::Train {
+                round: 0,
+                total_rounds: 10,
+                payload: payload.clone(),
+            }));
+            roundtrip(ServerMessage::Task(TaskAssignment::Validate {
+                round: 1,
+                payload,
+            }));
+        }
         roundtrip(ServerMessage::Task(TaskAssignment::Finish));
+    }
+
+    #[test]
+    fn with_payload_keeps_the_task_fields() {
+        let train = TaskAssignment::Train {
+            round: 2,
+            total_rounds: 5,
+            payload: Payload::Raw(weights()),
+        };
+        let swapped = train.with_payload(encoded());
+        assert_eq!(swapped.payload(), Some(&encoded()));
+        assert_eq!(swapped.with_payload(Payload::Raw(weights())), train);
+        assert_eq!(
+            TaskAssignment::Finish.with_payload(encoded()),
+            TaskAssignment::Finish
+        );
     }
 
     #[test]
@@ -683,6 +587,10 @@ mod tests {
         let mut out = crate::wire::FRAME_MAGIC.to_vec();
         vec![2usize, 3].encode(&mut out);
         vec![1.0f32; 5].encode(&mut out); // should be 6
+        assert!(WeightTensor::from_frame(&out).is_err());
+        let mut out = crate::wire::FRAME_MAGIC.to_vec();
+        vec![usize::MAX, 2].encode(&mut out); // product overflows
+        Vec::<f32>::new().encode(&mut out);
         assert!(WeightTensor::from_frame(&out).is_err());
     }
 
@@ -694,12 +602,11 @@ mod tests {
         assert!(ServerMessage::from_frame(&out).is_err());
         assert!(TaskAssignment::from_frame(&out).is_err());
         assert!(DxoKind::from_frame(&out).is_err());
-        assert!(ShardPayload::from_frame(&out).is_err());
+        assert!(Payload::from_frame(&out).is_err());
     }
 
     #[test]
     fn shard_messages_roundtrip() {
-        use crate::codec::{encode_weights, CodecSpec, NO_BASE};
         let mut metrics = BTreeMap::new();
         metrics.insert("train_loss".to_string(), 0.25);
         roundtrip(ClientMessage::SubmitShard {
@@ -711,17 +618,15 @@ mod tests {
                 ("site-2".to_string(), BTreeMap::new()),
             ],
             dropped: vec!["site-3".to_string()],
-            payload: ShardPayload::Raw(weights()),
+            payload: Payload::Raw(weights()),
         });
-        let spec = CodecSpec::parse("delta+int8").unwrap();
-        let enc = encode_weights(&weights(), 1, None, &spec, None).unwrap();
         roundtrip(ClientMessage::SubmitShard {
             round: 5,
             ack: 7,
             n_examples: 128,
             sites: vec![("site-4".to_string(), metrics)],
             dropped: vec![],
-            payload: ShardPayload::Encoded(enc),
+            payload: encoded(),
         });
         roundtrip(ClientMessage::ValidateShard {
             round: 4,

@@ -18,7 +18,7 @@
 //!   [`crate::transport::FrameTx`]/[`crate::transport::FrameRx`] traits so
 //!   a client can hold the far end as an ordinary [`crate::transport::Connection`].
 //! - [`Signal`] — a versioned condvar replacing the `sleep(5ms)` polls in
-//!   `wait_for_clients` and the codec settle window: state changes bump
+//!   `wait_for_clients` and `wait_for_leaves`: state changes bump
 //!   the version, waiters block until the version moves or a deadline
 //!   passes.
 

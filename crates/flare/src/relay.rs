@@ -23,7 +23,7 @@ use crate::aggregator::Aggregator;
 use crate::client::FlClient;
 use crate::controller::ClientGateway;
 use crate::log::EventLog;
-use crate::messages::TaskAssignment;
+use crate::messages::{Payload, TaskAssignment};
 use crate::server::FlServer;
 use crate::FlareError;
 use std::collections::BTreeSet;
@@ -163,7 +163,6 @@ impl AggregatorNode {
         aggregator: &dyn Aggregator,
         leaves: &[String],
     ) -> Result<u32, FlareError> {
-        self.uplink.negotiate_codec();
         let mut relayed = 0u32;
         loop {
             let task = match self.uplink.next_task() {
@@ -184,14 +183,16 @@ impl AggregatorNode {
                 TaskAssignment::Train {
                     round,
                     total_rounds,
-                    weights,
+                    payload,
                 } => {
-                    let task = TaskAssignment::Train {
+                    let Some(weights) = self.uplink.decode_payload(payload) else {
+                        continue;
+                    };
+                    let delivered = self.server.broadcast(&TaskAssignment::Train {
                         round,
                         total_rounds,
-                        weights: weights.clone(),
-                    };
-                    let delivered = self.server.broadcast(&task);
+                        payload: Payload::Raw(weights.clone()),
+                    });
                     let expected = self.server.leaf_sites().len();
                     // The parent only sends another task after closing the
                     // current round (possibly early, on quorum grace), so a
@@ -274,9 +275,14 @@ impl AggregatorNode {
                         Err(e) => return Err(e),
                     }
                 }
-                TaskAssignment::Validate { round, weights } => {
-                    self.server
-                        .broadcast(&TaskAssignment::Validate { round, weights });
+                TaskAssignment::Validate { round, payload } => {
+                    let Some(weights) = self.uplink.decode_payload(payload) else {
+                        continue;
+                    };
+                    self.server.broadcast(&TaskAssignment::Validate {
+                        round,
+                        payload: Payload::Raw(weights),
+                    });
                     let expected = self.server.leaf_sites().len();
                     let server = &mut self.server;
                     let uplink = &mut self.uplink;
@@ -303,9 +309,6 @@ impl AggregatorNode {
                     self.server.broadcast(&TaskAssignment::Finish);
                     self.uplink.send_bye();
                     return Ok(relayed);
-                }
-                TaskAssignment::TrainEnc { .. } | TaskAssignment::ValidateEnc { .. } => {
-                    unreachable!("encoded tasks decoded in next_task")
                 }
             }
         }

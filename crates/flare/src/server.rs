@@ -10,8 +10,8 @@
 //! attaches reactor-natively via [`FlServer::serve_session`], with zero
 //! threads per client. Only TCP peers attach via
 //! [`FlServer::serve_connection`], which spawns a thin pump thread that
-//! copies frames from the socket into the mailbox. Registration and
-//! codec settling block on a versioned [`crate::reactor::Signal`] instead
+//! copies frames from the socket into the mailbox. Waiting for
+//! registrations blocks on a versioned [`crate::reactor::Signal`] instead
 //! of the old 5 ms sleep-polls.
 //!
 //! The server also understands interior aggregation-tree nodes
@@ -22,12 +22,12 @@
 
 use crate::codec::{
     decode_weights, raw_submit_frame_size, raw_task_frame_size, wire_count, CodecSpec,
-    DownlinkKind, GlobalRing, NO_BASE, SUPPORTED_CODECS,
+    DownlinkKind, GlobalRing, NO_BASE,
 };
 use crate::controller::{ClientGateway, RoundManifest, ShardMeta};
-use crate::dxo::{Dxo, DxoKind};
+use crate::dxo::{Dxo, Weights};
 use crate::log::EventLog;
-use crate::messages::{ClientMessage, ServerMessage, ShardPayload, TaskAssignment};
+use crate::messages::{ClientMessage, Payload, ServerMessage, TaskAssignment};
 use crate::provision::ServerConfig;
 use crate::reactor::{FrameQueue, QueueRx, QueueTx, ReadyQueue, Signal};
 use crate::security::{DhKeyPair, SecureChannel};
@@ -72,14 +72,8 @@ struct ClientSlot {
     /// Last time any frame (task reply, heartbeat, even a corrupt one)
     /// arrived from this site.
     last_seen: Instant,
-    /// Wire codec negotiated with this client (`None` = raw peer).
+    /// Wire codec agreed at registration (`None` = raw).
     codec: Option<CodecSpec>,
-    /// True once the client has announced its codec choice (including an
-    /// explicit `raw`). Old peers never announce and stay `false`; the
-    /// pre-round settle in [`FlServer::wait_for_clients`] uses this to
-    /// avoid broadcasting full-f32 frames to clients whose proposal is
-    /// still in flight.
-    codec_decided: bool,
     /// Most recent downlink payload id this client acknowledged — the
     /// delta base for its next encoded downlink.
     acked: Option<u32>,
@@ -160,8 +154,8 @@ struct ServerShared {
     /// Session-scoped: a resumed run starts fresh, forcing one
     /// self-contained downlink per client (DESIGN.md §3g).
     ring: Mutex<GlobalRing>,
-    /// Bumped on every registration / codec decision / liveness change;
-    /// [`FlServer::wait_for_clients`] blocks on it.
+    /// Bumped on every registration / leaf announcement / liveness
+    /// change; [`FlServer::wait_for_clients`] blocks on it.
     reg: Signal,
     /// Metric namespace (`flare.server` by default; interior tree nodes
     /// use `flare.tree` so root and relay traffic stay distinguishable).
@@ -297,14 +291,24 @@ impl ServerShared {
             site,
             token,
             dh_public,
+            codec,
         } = msg
         else {
             self.log
                 .warn("ClientManager", "first frame was not Register");
             return SessionPhase::Closed;
         };
-        let accepted = self.config.verify(&site, &token)
+        let valid = self.config.verify(&site, &token)
             && !self.slots.lock().iter().any(|s| s.site == site && s.alive);
+        // The requested spec is untrusted input: one that does not parse
+        // is rejected like a bad token. With codecs disabled every session
+        // is answered `raw`.
+        let spec = match CodecSpec::parse(&codec) {
+            Err(e) => Err(format!("unparseable wire codec {codec:?} ({e})")),
+            Ok(_) if !valid => Err("invalid token or duplicate".to_string()),
+            Ok(_) if !self.codecs_enabled.load(Ordering::Relaxed) => Ok(CodecSpec::raw()),
+            Ok(spec) => Ok(spec),
+        };
         let keys = DhKeyPair::from_secret(dh_secret);
         // UUID-shaped session token, as in the paper's Fig. 3 log.
         let (hi, lo) = session_bits;
@@ -317,23 +321,24 @@ impl ServerShared {
             lo & 0xffff_ffff_ffff
         );
         let ack = ServerMessage::RegisterAck {
-            accepted,
+            accepted: spec.is_ok(),
             session: session_str.clone(),
             dh_public: keys.public,
+            codec: spec.as_ref().unwrap_or(&CodecSpec::raw()).to_string(),
         };
         let sent = tx
             .as_mut()
             .map(|t| t.send(&ack.to_frame()).is_ok())
             .unwrap_or(false);
-        if !sent || !accepted {
-            if !accepted {
-                self.log.warn(
-                    "ClientManager",
-                    format!("Client {site} rejected: invalid token or duplicate"),
-                );
+        let spec = match spec {
+            Err(why) => {
+                self.log
+                    .warn("ClientManager", format!("Client {site} rejected: {why}"));
+                return SessionPhase::Closed;
             }
-            return SessionPhase::Closed;
-        }
+            Ok(_) if !sent => return SessionPhase::Closed,
+            Ok(spec) => spec,
+        };
         let key = keys.shared_key(dh_public);
         let slot_idx = {
             let mut guard = self.slots.lock();
@@ -344,8 +349,7 @@ impl ServerShared {
                 seal: SecureChannel::new(key, SERVER_NONCE_BASE),
                 alive: true,
                 last_seen: Instant::now(),
-                codec: None,
-                codec_decided: false,
+                codec: Some(spec).filter(|c| !c.is_raw()),
                 acked: None,
                 leaves: None,
             });
@@ -410,115 +414,33 @@ impl ServerShared {
                 self.log
                     .info("ClientManager", format!("{site}: heartbeat received"));
             }
-            Ok(ClientMessage::CodecPropose { specs, .. }) => {
-                if !self.codecs_enabled.load(Ordering::Relaxed) {
-                    // A pre-codec server would not know this tag; stay
-                    // silent so the client falls back to raw.
-                    self.log.warn(
-                        "ClientManager",
-                        format!("{site}: ignoring codec proposal (codecs disabled)"),
-                    );
-                } else {
-                    let chosen = specs.iter().find_map(|s| CodecSpec::parse(s).ok());
-                    let reply = ServerMessage::CodecAck {
-                        chosen: chosen.as_ref().map(|c| c.to_string()),
-                        supported: SUPPORTED_CODECS.iter().map(|s| (*s).to_string()).collect(),
-                    };
-                    {
-                        let mut guard = self.slots.lock();
-                        let slot = &mut guard[slot_idx];
-                        slot.codec = chosen.filter(|c| !c.is_raw());
-                        slot.codec_decided = true;
-                        if let Some(c) = &slot.codec {
-                            self.log.info(
-                                "ClientManager",
-                                format!("{site}: negotiated wire codec {c}"),
-                            );
-                        }
-                        FlServer::send_to_slot(
-                            slot,
-                            &reply,
-                            &self.log,
-                            &self.obs(),
-                            &self.metric("bytes_tx"),
-                        );
-                    }
-                    self.reg.bump();
-                }
-            }
-            Ok(ClientMessage::SubmitEnc {
+            Ok(ClientMessage::Submit {
                 round,
                 ack,
+                kind,
                 n_examples,
                 metrics,
-                enc,
-            }) => {
-                let spec = {
-                    let mut guard = self.slots.lock();
-                    let slot = &mut guard[slot_idx];
-                    if ack != NO_BASE {
-                        slot.acked = Some(ack);
-                    }
-                    slot.codec.clone()
-                };
-                match self.decode_uplink(&enc, spec.as_ref()) {
-                    Ok(weights) => {
-                        wire_count("flare.wire.bytes_rx_encoded", plain.len() as u64);
-                        wire_count(
-                            "flare.wire.bytes_rx_raw",
-                            raw_submit_frame_size(&weights, &metrics),
-                        );
-                        let dxo = Dxo {
-                            kind: DxoKind::Weights,
-                            weights,
-                            metrics,
-                            n_examples,
-                        };
-                        let _ = inbox.send(InboxMsg::Submit {
-                            slot: slot_idx,
-                            round,
-                            dxo,
-                            shard: None,
-                        });
-                    }
-                    Err(e) => {
-                        wire_count("flare.wire.codec.decode_errors", 1);
-                        self.log.warn(
-                            "ClientManager",
-                            format!("{site}: dropping undecodable round-{round} submission: {e}"),
-                        );
-                    }
+                payload,
+            }) => match self.open_uplink(slot_idx, ack, payload, plain.len(), &metrics) {
+                Ok(weights) => {
+                    let dxo = Dxo {
+                        kind,
+                        weights,
+                        metrics,
+                        n_examples,
+                    };
+                    let _ = inbox.send(InboxMsg::Submit {
+                        slot: slot_idx,
+                        round,
+                        dxo,
+                        shard: None,
+                    });
                 }
-            }
-            Ok(ClientMessage::ValidateReportEnc { round, metric, ack }) => {
-                if ack != NO_BASE {
-                    self.slots.lock()[slot_idx].acked = Some(ack);
-                }
-                let _ = inbox.send(InboxMsg::Validate {
-                    slot: slot_idx,
-                    round,
-                    reports: vec![(site.clone(), metric)],
-                });
-            }
-            Ok(ClientMessage::Submit { round, dxo }) => {
-                // Raw submissions: raw and encoded wire bytes are the
-                // same by definition.
-                wire_count("flare.wire.bytes_rx_encoded", plain.len() as u64);
-                wire_count("flare.wire.bytes_rx_raw", plain.len() as u64);
-                let _ = inbox.send(InboxMsg::Submit {
-                    slot: slot_idx,
-                    round,
-                    dxo,
-                    shard: None,
-                });
-            }
-            Ok(ClientMessage::ValidateReport { round, metric }) => {
-                let _ = inbox.send(InboxMsg::Validate {
-                    slot: slot_idx,
-                    round,
-                    reports: vec![(site.clone(), metric)],
-                });
-            }
+                Err(e) => self.log.warn(
+                    "ClientManager",
+                    format!("{site}: dropping undecodable round-{round} submission: {e}"),
+                ),
+            },
             Ok(ClientMessage::SubmitShard {
                 round,
                 ack,
@@ -526,60 +448,34 @@ impl ServerShared {
                 sites,
                 dropped,
                 payload,
-            }) => {
-                let spec = {
-                    let mut guard = self.slots.lock();
-                    let slot = &mut guard[slot_idx];
-                    if ack != NO_BASE {
-                        slot.acked = Some(ack);
-                    }
-                    slot.codec.clone()
-                };
-                let decoded = match payload {
-                    ShardPayload::Raw(w) => {
-                        wire_count("flare.wire.bytes_rx_encoded", plain.len() as u64);
-                        wire_count("flare.wire.bytes_rx_raw", plain.len() as u64);
-                        Ok(w)
-                    }
-                    ShardPayload::Encoded(enc) => {
-                        let r = self.decode_uplink(&enc, spec.as_ref());
-                        if let Ok(w) = &r {
-                            wire_count("flare.wire.bytes_rx_encoded", plain.len() as u64);
-                            wire_count(
-                                "flare.wire.bytes_rx_raw",
-                                raw_submit_frame_size(w, &BTreeMap::new()),
-                            );
-                        }
-                        r
-                    }
-                };
-                match decoded {
-                    Ok(weights) => {
-                        let dxo = Dxo::from_weights(weights, n_examples);
-                        let _ = inbox.send(InboxMsg::Submit {
-                            slot: slot_idx,
-                            round,
-                            dxo,
-                            shard: Some(ShardMeta { sites, dropped }),
-                        });
-                    }
-                    Err(e) => {
-                        wire_count("flare.wire.codec.decode_errors", 1);
-                        self.log.warn(
-                            "ClientManager",
-                            format!("{site}: dropping undecodable round-{round} shard: {e}"),
-                        );
-                    }
+            }) => match self.open_uplink(slot_idx, ack, payload, plain.len(), &BTreeMap::new()) {
+                Ok(weights) => {
+                    let _ = inbox.send(InboxMsg::Submit {
+                        slot: slot_idx,
+                        round,
+                        dxo: Dxo::from_weights(weights, n_examples),
+                        shard: Some(ShardMeta { sites, dropped }),
+                    });
                 }
+                Err(e) => self.log.warn(
+                    "ClientManager",
+                    format!("{site}: dropping undecodable round-{round} shard: {e}"),
+                ),
+            },
+            Ok(ClientMessage::ValidateReport { round, metric, ack }) => {
+                self.note_ack(slot_idx, ack);
+                let _ = inbox.send(InboxMsg::Validate {
+                    slot: slot_idx,
+                    round,
+                    reports: vec![(site.clone(), metric)],
+                });
             }
             Ok(ClientMessage::ValidateShard {
                 round,
                 ack,
                 reports,
             }) => {
-                if ack != NO_BASE {
-                    self.slots.lock()[slot_idx].acked = Some(ack);
-                }
+                self.note_ack(slot_idx, ack);
                 let _ = inbox.send(InboxMsg::Validate {
                     slot: slot_idx,
                     round,
@@ -614,27 +510,61 @@ impl ServerShared {
         }
     }
 
-    /// Reconstructs uplink weights against the ring (shared by `SubmitEnc`
-    /// and encoded `SubmitShard` payloads).
-    fn decode_uplink(
+    /// Records the client's latest reconstructed downlink — the delta
+    /// base for its next encoded downlink.
+    fn note_ack(&self, slot_idx: usize, ack: u32) {
+        if ack != NO_BASE {
+            self.slots.lock()[slot_idx].acked = Some(ack);
+        }
+    }
+
+    /// Notes the ack and reconstructs the weights of an uplink payload:
+    /// raw payloads pass through, encoded ones decode against the ring.
+    /// Counts the frame into the `flare.wire.bytes_rx_*` pair; `metrics`
+    /// sizes the raw-equivalent frame.
+    fn open_uplink(
         &self,
-        enc: &crate::codec::EncodedWeights,
-        spec: Option<&CodecSpec>,
-    ) -> Result<crate::dxo::Weights, FlareError> {
-        let ring = self.ring.lock();
-        let base = if enc.base_id == NO_BASE {
-            None
-        } else {
-            spec.and_then(|sp| ring.recon(sp, enc.base_id))
+        slot_idx: usize,
+        ack: u32,
+        payload: Payload,
+        frame_len: usize,
+        metrics: &BTreeMap<String, f64>,
+    ) -> Result<Weights, FlareError> {
+        self.note_ack(slot_idx, ack);
+        let enc = match payload {
+            Payload::Raw(weights) => {
+                wire_count("flare.wire.bytes_rx_encoded", frame_len as u64);
+                wire_count("flare.wire.bytes_rx_raw", frame_len as u64);
+                return Ok(weights);
+            }
+            Payload::Encoded(enc) => enc,
         };
-        if enc.base_id != NO_BASE && base.is_none() {
+        let spec = self.slots.lock()[slot_idx].codec.clone();
+        let ring = self.ring.lock();
+        let base = match &spec {
+            Some(sp) if enc.base_id != NO_BASE => ring.recon(sp, enc.base_id),
+            _ => None,
+        };
+        let decoded = if enc.base_id != NO_BASE && base.is_none() {
             wire_count("flare.wire.codec.base_misses", 1);
-            return Err(FlareError::Codec(format!(
+            Err(FlareError::Codec(format!(
                 "uplink base payload {} unknown",
                 enc.base_id
-            )));
+            )))
+        } else {
+            decode_weights(&enc, base)
+        };
+        match &decoded {
+            Ok(weights) => {
+                wire_count("flare.wire.bytes_rx_encoded", frame_len as u64);
+                wire_count(
+                    "flare.wire.bytes_rx_raw",
+                    raw_submit_frame_size(weights, metrics),
+                );
+            }
+            Err(_) => wire_count("flare.wire.codec.decode_errors", 1),
         }
-        decode_weights(enc, base)
+        decoded
     }
 }
 
@@ -721,9 +651,9 @@ impl FlServer {
         }
     }
 
-    /// Enables or disables wire-codec negotiation (default enabled).
-    /// Disabling makes the server behave like a pre-codec peer: codec
-    /// proposals are ignored and every downlink ships raw f32.
+    /// Enables or disables wire codecs (default enabled). Disabled, the
+    /// server answers every registration's `RegisterAck` with `raw`, so
+    /// every exchange ships plain f32 weights.
     pub fn set_wire_codecs_enabled(&mut self, enabled: bool) {
         self.shared.codecs_enabled.store(enabled, Ordering::Relaxed);
     }
@@ -850,51 +780,8 @@ impl FlServer {
 
     /// Blocks until `n` clients have registered or `timeout` passes.
     /// Returns the registered count.
-    ///
-    /// With codecs enabled, a short settle window follows: codec
-    /// proposals ride a separate message right after registration, so
-    /// broadcasting immediately would race them and ship full-f32 frames
-    /// to clients that were about to negotiate. The settle waits up to
-    /// 150 ms for every registered client to announce a codec choice —
-    /// extended to 1 s once at least one announcement has arrived
-    /// (evidence of a negotiating fleet whose remaining proposals may
-    /// have been lost to link faults). Old peers never announce, so an
-    /// all-legacy fleet pays at most the 150 ms floor. Both waits block
-    /// on the registration [`Signal`] — no sleep-polling.
     pub fn wait_for_clients(&self, n: usize, timeout: Duration) -> usize {
-        let deadline = Instant::now() + timeout;
-        let count = loop {
-            let since = self.shared.reg.version();
-            let count = self.shared.slots.lock().len();
-            if count >= n || Instant::now() >= deadline {
-                break count;
-            }
-            self.shared.reg.wait_past(since, deadline);
-        };
-        if !self.shared.codecs_enabled.load(Ordering::Relaxed) {
-            return count;
-        }
-        let settle = Instant::now() + Duration::from_millis(150);
-        let grace = Instant::now() + Duration::from_secs(1);
-        loop {
-            let since = self.shared.reg.version();
-            let (decided, total) = {
-                let guard = self.shared.slots.lock();
-                (
-                    guard.iter().filter(|s| s.codec_decided).count(),
-                    guard.len(),
-                )
-            };
-            if decided >= total {
-                break;
-            }
-            let limit = if decided > 0 { grace } else { settle };
-            if Instant::now() >= limit {
-                break;
-            }
-            self.shared.reg.wait_past(since, limit);
-        }
-        self.shared.slots.lock().len()
+        self.wait_for(n, timeout, |slots| slots.len())
     }
 
     /// Blocks until the registered clients cover at least `n` leaf sites
@@ -904,19 +791,29 @@ impl FlServer {
     /// that only waited for registrations could start a round before it
     /// knows the true leaf population.
     pub fn wait_for_leaves(&self, n: usize, timeout: Duration) -> usize {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let since = self.shared.reg.version();
-            let count: usize = self
-                .shared
-                .slots
-                .lock()
+        self.wait_for(n, timeout, |slots| {
+            slots
                 .iter()
                 .filter(|s| s.alive)
                 .map(|s| s.leaves.as_ref().map_or(1, Vec::len))
-                .sum();
-            if count >= n || Instant::now() >= deadline {
-                return count;
+                .sum()
+        })
+    }
+
+    /// Blocks on the registration [`Signal`] until `count(slots) >= n` or
+    /// `timeout` passes; returns the last count.
+    fn wait_for(
+        &self,
+        n: usize,
+        timeout: Duration,
+        count: impl Fn(&[ClientSlot]) -> usize,
+    ) -> usize {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let since = self.shared.reg.version();
+            let got = count(&self.shared.slots.lock());
+            if got >= n || Instant::now() >= deadline {
+                return got;
             }
             self.shared.reg.wait_past(since, deadline);
         }
@@ -986,16 +883,6 @@ impl FlServer {
             .filter(|s| s.alive && s.last_seen.elapsed() > max_idle)
             .map(|s| s.site.clone())
             .collect()
-    }
-
-    fn send_to_slot(
-        slot: &mut ClientSlot,
-        msg: &ServerMessage,
-        log: &EventLog,
-        obs: &Registry,
-        tx_metric: &str,
-    ) -> bool {
-        Self::send_frame_to_slot(slot, &msg.to_frame(), log, obs, tx_metric)
     }
 
     fn send_frame_to_slot(
@@ -1083,12 +970,11 @@ impl ClientGateway for FlServer {
     }
 
     fn broadcast(&mut self, task: &TaskAssignment) -> usize {
-        // Weight-bearing tasks go through the wire codec per slot; Finish
-        // (and any task for a raw peer) ships in the legacy format.
-        let (weights, is_train) = match task {
-            TaskAssignment::Train { weights, .. } => (Some(weights), true),
-            TaskAssignment::Validate { weights, .. } => (Some(weights), false),
-            _ => (None, false),
+        // Weights go through the wire codec per slot; Finish, and every
+        // task for a raw slot, ships the one raw frame.
+        let weights = match task.payload() {
+            Some(Payload::Raw(w)) => Some(w),
+            _ => None,
         };
         let raw_frame = ServerMessage::Task(task.clone()).to_frame();
         let tx_metric = self.shared.metric("bytes_tx");
@@ -1097,10 +983,8 @@ impl ClientGateway for FlServer {
         // Lock order: slots, then ring (matches the reactor, which never
         // holds both at once).
         let mut slots = self.shared.slots.lock();
-        let any_codec = weights.is_some()
-            && self.shared.codecs_enabled.load(Ordering::Relaxed)
-            && slots.iter().any(|s| s.alive && s.codec.is_some());
-        if !any_codec {
+        let any_codec = slots.iter().any(|s| s.alive && s.codec.is_some());
+        let Some(weights) = weights.filter(|_| any_codec) else {
             for slot in slots.iter_mut().filter(|s| s.alive) {
                 if Self::send_frame_to_slot(slot, &raw_frame, &self.shared.log, &obs, &tx_metric) {
                     if weights.is_some() {
@@ -1111,9 +995,8 @@ impl ClientGateway for FlServer {
                 }
             }
             return sent;
-        }
-        let weights = weights.expect("any_codec implies weight-bearing task");
-        let raw_size = raw_task_frame_size(weights, is_train);
+        };
+        let raw_size = raw_task_frame_size(weights, matches!(task, TaskAssignment::Train { .. }));
         let mut ring = self.shared.ring.lock();
         let id = ring.publish(weights);
         // Group the round's receivers by spec so the ring can downgrade
@@ -1144,27 +1027,7 @@ impl ClientGateway for FlServer {
                     },
                     1,
                 );
-                let t = if is_train {
-                    let TaskAssignment::Train {
-                        round,
-                        total_rounds,
-                        ..
-                    } = task
-                    else {
-                        unreachable!()
-                    };
-                    TaskAssignment::TrainEnc {
-                        round: *round,
-                        total_rounds: *total_rounds,
-                        enc,
-                    }
-                } else {
-                    let TaskAssignment::Validate { round, .. } = task else {
-                        unreachable!()
-                    };
-                    TaskAssignment::ValidateEnc { round: *round, enc }
-                };
-                Some(ServerMessage::Task(t).to_frame())
+                Some(ServerMessage::Task(task.with_payload(Payload::Encoded(enc))).to_frame())
             });
             let (frame, raw_equiv) = match &encoded {
                 Some(f) => (f.as_slice(), raw_size),
@@ -1186,10 +1049,7 @@ impl ClientGateway for FlServer {
     /// client answer with a self-contained uplink (correct, just
     /// uncompressed).
     fn send_to(&mut self, sites: &[String], task: &TaskAssignment) -> usize {
-        let weight_bearing = matches!(
-            task,
-            TaskAssignment::Train { .. } | TaskAssignment::Validate { .. }
-        );
+        let weight_bearing = task.payload().is_some();
         let raw_frame = ServerMessage::Task(task.clone()).to_frame();
         let tx_metric = self.shared.metric("bytes_tx");
         let obs = self.shared.obs();
@@ -1346,5 +1206,54 @@ impl FlServer {
             .iter()
             .map(|s| (s.site.clone(), s.session.clone()))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::FlClient;
+    use crate::provision::Project;
+
+    /// The codec string in `Register` is untrusted input: a spec that does
+    /// not parse is refused like a bad token, leaves no slot behind, and
+    /// does not wedge the reactor for the next (valid) registration.
+    #[test]
+    fn unparseable_codec_is_rejected_and_the_reactor_keeps_serving() {
+        let prov = Project::with_n_sites("simulator_server", 1, 5).provision();
+        let site = &prov.sites[0];
+        let log = EventLog::new();
+        let mut server = FlServer::new(prov.server.clone(), log.clone(), 5);
+
+        let mut conn = server.serve_session();
+        let register = ClientMessage::Register {
+            site: site.site_name.clone(),
+            token: site.token.clone(),
+            dh_public: DhKeyPair::from_secret(1).public,
+            codec: "delta+bogus".into(),
+        };
+        conn.tx.send(&register.to_frame()).unwrap();
+        let frame = conn.rx.recv(Duration::from_secs(10)).unwrap();
+        let ack = ServerMessage::from_frame(&frame).unwrap();
+        assert!(
+            matches!(
+                ack,
+                ServerMessage::RegisterAck {
+                    accepted: false,
+                    ..
+                }
+            ),
+            "{ack:?}"
+        );
+        assert_eq!(server.num_registered(), 0);
+        assert!(log.contains("unparseable wire codec"));
+
+        let delta = CodecSpec::parse("delta").unwrap();
+        let client = FlClient::register(server.serve_session(), site, 2, &delta, log.clone())
+            .expect("valid registration after a rejected one");
+        assert_eq!(client.site(), site.site_name);
+        assert_eq!(server.wait_for_clients(1, Duration::from_secs(10)), 1);
+        assert_eq!(server.shared.slots.lock()[0].codec, Some(delta));
+        assert!(log.contains("negotiated wire codec delta"));
     }
 }

@@ -236,14 +236,14 @@ pub struct SimulatorConfig {
     /// Keep at most this many `round_<n>.cfw` files on disk (oldest
     /// pruned first); `None` keeps all.
     pub retain_checkpoints: Option<usize>,
-    /// Wire codec every client proposes at registration (see
-    /// [`crate::codec`]); raw keeps the legacy full-f32 exchange.
+    /// Wire codec every client asks for at registration (see
+    /// [`crate::codec`]); raw keeps the full-f32 exchange.
     pub wire: CodecSpec,
     /// Per-site codec overrides keyed by 0-based site index (mixed-fleet
     /// testing: some sites raw, some compressed).
     pub wire_overrides: BTreeMap<usize, CodecSpec>,
-    /// When false the server ignores codec proposals (emulates a
-    /// pre-codec server, exercising the client's raw fallback).
+    /// When false the server answers every registration with `raw`,
+    /// whatever codec the client asked for.
     pub server_codecs_enabled: bool,
     /// Aggregation-tree topology. `None` falls back to the `CLINFL_TREE`
     /// environment knob, and to a flat fleet when that is unset too. A
@@ -518,9 +518,8 @@ impl SimulatorRunner {
                             cfg,
                         } = job;
                         let mut uplink =
-                            FlClient::register(conn, &package, dh_secret, clog.clone())?;
+                            FlClient::register(conn, &package, dh_secret, &wire, clog.clone())?;
                         uplink.set_retry_policy(retry);
-                        uplink.set_wire_codec(wire);
                         let mut node = AggregatorNode::new(
                             name, server, uplink, n_children, n_leaves, cfg, clog,
                         );
@@ -542,11 +541,11 @@ impl SimulatorRunner {
                 let (clog, cobs, retry) = (log.clone(), obs.clone(), cfg.retry);
                 let secret = dh_secret(cfg.seed, i as u64, false);
                 leaf_handles.push(scope.spawn(move || -> Result<u32, FlareError> {
-                    let mut client = FlClient::register(job.conn, &job.package, secret, clog)?;
+                    let mut client =
+                        FlClient::register(job.conn, &job.package, secret, &wire, clog)?;
                     client.set_registry(cobs);
                     client.set_filters(filters);
                     client.set_retry_policy(retry);
-                    client.set_wire_codec(wire);
                     client.run(executor.as_mut(), behavior)
                 }));
             }

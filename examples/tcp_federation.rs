@@ -12,6 +12,7 @@
 
 use clinfl_flare::aggregator::WeightedFedAvg;
 use clinfl_flare::client::{ClientBehavior, FlClient};
+use clinfl_flare::codec::CodecSpec;
 use clinfl_flare::controller::{SagConfig, ScatterAndGather};
 use clinfl_flare::executor::ArithmeticExecutor;
 use clinfl_flare::persistor::InMemoryPersistor;
@@ -40,7 +41,8 @@ fn main() {
         client_threads.push(std::thread::spawn(move || {
             let conn = TcpTransport::connect(&addr).expect("connect");
             let mut client =
-                FlClient::register(conn, &package, 0xC0FFEE + i as u64, clog).expect("register");
+                FlClient::register(conn, &package, 0xC0FFEE + i as u64, &CodecSpec::raw(), clog)
+                    .expect("register");
             let mut executor = ArithmeticExecutor {
                 delta: (i + 1) as f32,
                 n_examples: 100,

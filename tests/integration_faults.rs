@@ -349,6 +349,7 @@ fn quorum_aggregate_independent_of_straggler_mode() {
 mod liveness {
     use super::*;
     use clinfl_flare::client::FlClient;
+    use clinfl_flare::codec::CodecSpec;
     use clinfl_flare::provision::Project;
     use clinfl_flare::server::FlServer;
     use clinfl_flare::EventLog;
@@ -365,6 +366,7 @@ mod liveness {
             server.serve_session(),
             &provisioned.sites[0],
             0xBEEF,
+            &CodecSpec::raw(),
             log.clone(),
         )
         .expect("registration");
@@ -420,6 +422,7 @@ mod liveness {
             server.serve_session(),
             &provisioned.sites[0],
             0xBEEF,
+            &CodecSpec::raw(),
             log.clone(),
         )
         .expect("registration");

@@ -3,6 +3,7 @@
 
 use clinfl_flare::aggregator::WeightedFedAvg;
 use clinfl_flare::client::{ClientBehavior, FlClient};
+use clinfl_flare::codec::CodecSpec;
 use clinfl_flare::controller::{SagConfig, ScatterAndGather};
 use clinfl_flare::executor::ArithmeticExecutor;
 use clinfl_flare::persistor::InMemoryPersistor;
@@ -31,7 +32,9 @@ fn run_tcp_federation(n_clients: usize, rounds: u32) -> Weights {
         let clog = log.clone();
         threads.push(std::thread::spawn(move || {
             let conn = TcpTransport::connect(&addr).unwrap();
-            let mut client = FlClient::register(conn, &package, 1000 + i as u64, clog).unwrap();
+            let mut client =
+                FlClient::register(conn, &package, 1000 + i as u64, &CodecSpec::raw(), clog)
+                    .unwrap();
             let mut ex = ArithmeticExecutor {
                 delta: 1.0,
                 n_examples: 10,
@@ -95,7 +98,7 @@ fn invalid_token_is_rejected_over_tcp() {
             site_name: "site-1".into(),
             token: "forged-token".into(),
         };
-        FlClient::register(conn, &forged, 1, clog)
+        FlClient::register(conn, &forged, 1, &CodecSpec::raw(), clog)
     });
     let (stream, _) = listener.accept().unwrap();
     server.serve_connection(TcpTransport::from_stream(stream).unwrap());
@@ -121,7 +124,7 @@ fn duplicate_site_registration_rejected() {
     let l1 = log.clone();
     let t1 = std::thread::spawn(move || {
         let conn = TcpTransport::connect(&a1).unwrap();
-        FlClient::register(conn, &p1, 1, l1)
+        FlClient::register(conn, &p1, 1, &CodecSpec::raw(), l1)
     });
     let (stream, _) = listener.accept().unwrap();
     server.serve_connection(TcpTransport::from_stream(stream).unwrap());
@@ -132,7 +135,7 @@ fn duplicate_site_registration_rejected() {
     // Second registration with the same live site name is refused.
     let t2 = std::thread::spawn(move || {
         let conn = TcpTransport::connect(&addr).unwrap();
-        FlClient::register(conn, &package, 2, log)
+        FlClient::register(conn, &package, 2, &CodecSpec::raw(), log)
     });
     let (stream, _) = listener.accept().unwrap();
     server.serve_connection(TcpTransport::from_stream(stream).unwrap());

@@ -6,9 +6,10 @@
 
 use clinfl_flare::aggregator::WeightedFedAvg;
 use clinfl_flare::client::FlClient;
+use clinfl_flare::codec::CodecSpec;
 use clinfl_flare::controller::{ClientGateway, SagConfig};
 use clinfl_flare::executor::ArithmeticExecutor;
-use clinfl_flare::messages::TaskAssignment;
+use clinfl_flare::messages::{Payload, TaskAssignment};
 use clinfl_flare::provision::Project;
 use clinfl_flare::server::FlServer;
 use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner, TreeConfig};
@@ -46,7 +47,7 @@ fn mid_round_shutdown_releases_every_session() {
         let done = done_tx.clone();
         threads.push(std::thread::spawn(move || {
             let run = || -> Result<Duration, String> {
-                let mut client = FlClient::register(conn, &pkg, 0xA11CE, clog)
+                let mut client = FlClient::register(conn, &pkg, 0xA11CE, &CodecSpec::raw(), clog)
                     .map_err(|e| format!("register: {e}"))?;
                 match client.next_task() {
                     Ok(TaskAssignment::Train { round: 0, .. }) => {}
@@ -76,7 +77,7 @@ fn mid_round_shutdown_releases_every_session() {
     let delivered = server.broadcast(&TaskAssignment::Train {
         round: 0,
         total_rounds: 3,
-        weights: initial(),
+        payload: Payload::Raw(initial()),
     });
     assert_eq!(delivered, N_SITES);
     // Wait until every client holds the task and is back in its receive

@@ -1,8 +1,8 @@
-//! Wire-codec integration: negotiated weight compression must not change
-//! federation results. Lossless codecs reproduce the all-raw run
-//! bit-for-bit (including mixed fleets and pre-codec servers), lossy
-//! codecs with error feedback stay within quantization tolerance, and
-//! chaos runs complete with compression on.
+//! Wire-codec integration: weight compression agreed at registration must
+//! not change federation results. Lossless codecs reproduce the all-raw
+//! run bit-for-bit (including mixed fleets and servers pinned to raw),
+//! lossy codecs with error feedback stay within quantization tolerance,
+//! and chaos runs complete with compression on.
 //!
 //! The wire-format spec these runs exercise is DESIGN.md §3g.
 
@@ -112,24 +112,27 @@ fn mixed_fleet_matches_all_raw_bitwise() {
     );
 }
 
-/// A pre-codec server ignores proposals; clients must fall back to the
-/// raw format and still reproduce the all-raw result exactly.
+/// A server with codecs disabled answers every `RegisterAck` with `raw`:
+/// clients asking for a lossy codec run raw from the first frame and
+/// reproduce the all-raw result exactly, with no fallback path involved.
 #[test]
-fn silent_server_falls_back_to_raw() {
+fn server_pinned_raw_matches_all_raw() {
     let raw = run_sim(base_config(3));
     let mut cfg = base_config(3);
     cfg.wire = CodecSpec::parse("delta+int8").unwrap();
     cfg.server_codecs_enabled = false;
-    let fallback = run_sim(cfg);
+    let pinned = run_sim(cfg);
     assert_eq!(
         bits(&raw.workflow.final_weights),
-        bits(&fallback.workflow.final_weights),
-        "raw fallback diverged from the all-raw run"
+        bits(&pinned.workflow.final_weights),
+        "server-pinned raw run diverged from the all-raw run"
     );
     assert!(
-        fallback.log.contains("using raw format"),
-        "expected the clients to log the raw fallback"
+        pinned.log.contains("server pinned the raw wire format"),
+        "expected the clients to log the server's raw choice"
     );
+    assert!(!pinned.log.contains("negotiated wire codec"));
+    assert!(!pinned.log.contains("using raw format"));
 }
 
 /// Lossy codecs with client-side error feedback: deferred residuals keep
@@ -160,7 +163,9 @@ fn error_feedback_keeps_lossy_runs_near_raw() {
 }
 
 /// Compression composes with the chaos layer: an aggressive-fault run
-/// with delta+top-k+int8 negotiated still completes every round.
+/// with delta+top-k+int8 still completes every round. The codec rides
+/// the fault-exempt registration frames, so no fault can cost a site its
+/// codec.
 #[test]
 fn codec_chaos_run_completes() {
     let _serial = timing_guard();
@@ -185,4 +190,13 @@ fn codec_chaos_run_completes() {
         );
     }
     assert!(res.log.contains("FaultInjector"), "no faults were injected");
+    for i in 1..=8 {
+        assert!(
+            res.log.contains(&format!(
+                "site-{i}: negotiated wire codec delta+topk0.05+int8"
+            )),
+            "site-{i} did not get its codec"
+        );
+    }
+    assert!(!res.log.contains("using raw format"));
 }

@@ -4,8 +4,9 @@
 
 use clinfl_data::{ClassifyDataset, SitePartitioner};
 use clinfl_flare::checkpoint::RunCheckpoint;
+use clinfl_flare::codec::{encode_weights, CodecSpec};
 use clinfl_flare::controller::RoundSummary;
-use clinfl_flare::messages::{ClientMessage, ServerMessage, TaskAssignment};
+use clinfl_flare::messages::{ClientMessage, Payload, ServerMessage, TaskAssignment};
 use clinfl_flare::security::{DhKeyPair, SecureChannel};
 use clinfl_flare::wire::{WireDecode, WireEncode};
 use clinfl_flare::{Dxo, WeightTensor, Weights};
@@ -83,21 +84,107 @@ fn arb_dxo() -> impl Strategy<Value = Dxo> {
         })
 }
 
+/// A valid frame of one of the protocol's message forms: `Register` with
+/// a codec, its `RegisterAck`, and `Submit`, `Train` and `SubmitShard`
+/// with both payload kinds.
+fn arb_message_frame() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..8, any::<u32>(), arb_dxo()).prop_map(|(form, round, dxo)| {
+        let spec = CodecSpec::parse("delta+topk0.5+int8").unwrap();
+        let payload = if form % 2 == 0 {
+            Payload::Raw(dxo.weights.clone())
+        } else {
+            Payload::Encoded(encode_weights(&dxo.weights, round, None, &spec, None).unwrap())
+        };
+        match form {
+            0 => ClientMessage::Register {
+                site: "site-3".into(),
+                token: format!("{round:08x}"),
+                dh_public: dxo.n_examples,
+                codec: spec.to_string(),
+            }
+            .to_frame(),
+            1 => ServerMessage::RegisterAck {
+                accepted: true,
+                session: format!("{round:08x}"),
+                dh_public: dxo.n_examples,
+                codec: spec.to_string(),
+            }
+            .to_frame(),
+            2 | 3 => ClientMessage::Submit {
+                round,
+                ack: round / 2,
+                kind: dxo.kind,
+                n_examples: dxo.n_examples,
+                metrics: dxo.metrics,
+                payload,
+            }
+            .to_frame(),
+            4 | 5 => ServerMessage::Task(TaskAssignment::Train {
+                round,
+                total_rounds: round / 2,
+                payload,
+            })
+            .to_frame(),
+            _ => ClientMessage::SubmitShard {
+                round,
+                ack: round / 2,
+                n_examples: dxo.n_examples,
+                sites: vec![("site-1".into(), dxo.metrics)],
+                dropped: vec!["site-2".into()],
+                payload,
+            }
+            .to_frame(),
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn client_submit_roundtrips(round in any::<u32>(), dxo in arb_dxo()) {
-        let msg = ClientMessage::Submit { round, dxo };
+    fn client_submit_roundtrips(round in any::<u32>(), ack in any::<u32>(), dxo in arb_dxo()) {
+        let msg = ClientMessage::Submit {
+            round,
+            ack,
+            kind: dxo.kind,
+            n_examples: dxo.n_examples,
+            metrics: dxo.metrics,
+            payload: Payload::Raw(dxo.weights),
+        };
         let back = ClientMessage::from_frame(&msg.to_frame()).unwrap();
         prop_assert_eq!(msg, back);
     }
 
     #[test]
     fn train_task_roundtrips(round in any::<u32>(), total in any::<u32>(), w in arb_weights()) {
-        let msg = ServerMessage::Task(TaskAssignment::Train { round, total_rounds: total, weights: w });
+        let msg = ServerMessage::Task(TaskAssignment::Train {
+            round,
+            total_rounds: total,
+            payload: Payload::Raw(w),
+        });
         let back = ServerMessage::from_frame(&msg.to_frame()).unwrap();
         prop_assert_eq!(msg, back);
+    }
+
+    #[test]
+    fn message_frames_survive_any_flip_or_truncation(
+        frame in arb_message_frame(),
+        mask in any::<u8>(),
+    ) {
+        // Decoding a damaged frame returns an error or some value; it
+        // never panics. Every truncation and a flip at every byte is tried.
+        let decode = |bytes: &[u8]| {
+            ClientMessage::from_frame(bytes).is_ok() || ServerMessage::from_frame(bytes).is_ok()
+        };
+        prop_assert!(decode(&frame), "the undamaged frame must decode");
+        for cut in 0..frame.len() {
+            decode(&frame[..cut]);
+        }
+        for i in 0..frame.len() {
+            let mut flipped = frame.clone();
+            flipped[i] ^= mask.max(1);
+            decode(&flipped);
+        }
     }
 
     #[test]
