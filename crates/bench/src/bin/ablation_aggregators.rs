@@ -1,67 +1,26 @@
 //! Ablation (extension beyond the paper): aggregation rules under label
 //! skew — weighted FedAvg vs coordinate median vs trimmed mean, on the
 //! same federated LSTM task with increasingly biased site label
-//! distributions.
+//! distributions. Every cell is an ordinary `clinfl federated` run; only
+//! the label-skew partition, which no run key names, is set in code.
 
-use clinfl::{drivers, ClinicalExecutor, Learner, ModelSpec, PipelineConfig, TrainHyper};
-use clinfl_data::SitePartitioner;
-use clinfl_flare::aggregator::{Aggregator, CoordinateMedian, TrimmedMean, WeightedFedAvg};
-use clinfl_flare::controller::SagConfig;
-use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
+use clinfl::{drivers, Partition, RunSpec};
+use clinfl_flare::job::AggregatorKind;
 use clinfl_flare::EventLog;
-use std::time::Duration;
 
-fn run_with(cfg: &PipelineConfig, bias: f64, aggregator: &dyn Aggregator) -> f64 {
-    let data = drivers::build_task_data(cfg);
-    let partitioner = SitePartitioner::LabelSkew {
-        n_sites: cfg.n_clients,
-        bias,
-    };
-    let shards = partitioner.partition(&data.train, cfg.seed);
-    let hyper = TrainHyper::for_model(ModelSpec::Lstm);
-    let vocab = data.code_system.vocab().len();
-    let seed_learner = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed);
-    let initial = seed_learner.export_weights();
-    let log = EventLog::new();
-    let runner = SimulatorRunner::with_log(
-        SimulatorConfig {
-            n_clients: cfg.n_clients,
-            sag: SagConfig {
-                rounds: cfg.rounds,
-                min_clients: 1,
-                round_timeout: Duration::from_secs(3600),
-                validate_global: false,
-                ..SagConfig::default()
-            },
-            seed: cfg.seed,
-            ..SimulatorConfig::default()
-        },
-        log.clone(),
-    );
-    let valid = data.valid.clone();
-    let result = runner
-        .run_simple(
-            initial,
-            |i, _| {
-                Box::new(ClinicalExecutor::new(
-                    Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed),
-                    shards[i].clone(),
-                    valid.clone(),
-                    cfg.local_epochs,
-                    log.clone(),
-                ))
-            },
-            aggregator,
-        )
-        .expect("simulation runs");
-    let mut eval = Learner::new(ModelSpec::Lstm, vocab, cfg.seq_len, hyper, cfg.seed);
-    eval.load_weights(&result.workflow.final_weights);
-    eval.evaluate(&data.valid)
+fn run_with(base: &RunSpec, bias: f64, aggregator: AggregatorKind) -> f64 {
+    let mut spec = base.clone();
+    spec.partition = Partition::LabelSkew(bias);
+    spec.aggregator = aggregator;
+    drivers::train_spec(&spec, EventLog::new())
+        .expect("simulation runs")
+        .accuracy
 }
 
 fn main() {
-    let args = clinfl_bench::parse_args(12);
-    let cfg = args.config();
+    let mut base = clinfl_bench::parse_args(12).spec;
+    base.validate = false;
+    let cfg = &base.pipeline;
     println!(
         "ABLATION — aggregation rule vs label skew (LSTM, {} patients, {} rounds)\n",
         cfg.cohort.n_patients, cfg.rounds
@@ -71,9 +30,9 @@ fn main() {
         "bias", "WeightedFedAvg", "CoordinateMedian", "TrimmedMean"
     );
     for bias in [0.0, 0.5, 0.9] {
-        let fedavg = run_with(&cfg, bias, &WeightedFedAvg);
-        let median = run_with(&cfg, bias, &CoordinateMedian);
-        let trimmed = run_with(&cfg, bias, &TrimmedMean { trim: 1 });
+        let fedavg = run_with(&base, bias, AggregatorKind::WeightedFedAvg);
+        let median = run_with(&base, bias, AggregatorKind::CoordinateMedian);
+        let trimmed = run_with(&base, bias, AggregatorKind::TrimmedMean);
         println!(
             "{bias:<10} {:>15.1}% {:>17.1}% {:>13.1}%",
             100.0 * fedavg,

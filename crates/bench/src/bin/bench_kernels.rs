@@ -100,41 +100,13 @@ fn cases() -> Vec<Case> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut run = false;
-    let mut out = String::from("BENCH_kernels.json");
-    let mut check: Option<String> = None;
-    let mut min_speedup = DEFAULT_MIN_SPEEDUP;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--run" => run = true,
-            "--out" => out = it.next().expect("--out requires a path").clone(),
-            "--check" => check = Some(it.next().expect("--check requires a path").clone()),
-            "--min-speedup" => {
-                min_speedup = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--min-speedup requires a number");
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: bench_kernels --run [--out PATH] | --check PATH [--min-speedup X]"
-                );
-                std::process::exit(2);
-            }
+    let usage = "bench_kernels --run [--out PATH] | --check PATH [--min-speedup X]";
+    match clinfl_bench::report_args("--run", "BENCH_kernels.json", Some("--min-speedup"), usage) {
+        clinfl_bench::ReportMode::Run(out) => run_bench(&out),
+        clinfl_bench::ReportMode::Check(path, min) => {
+            run_check(&path, min.unwrap_or(DEFAULT_MIN_SPEEDUP))
         }
     }
-    if let Some(path) = check {
-        run_check(&path, min_speedup);
-        return;
-    }
-    if !run {
-        eprintln!("usage: bench_kernels --run [--out PATH] | --check PATH [--min-speedup X]");
-        std::process::exit(2);
-    }
-    run_bench(&out);
 }
 
 /// Deterministic pseudo-random fill (xorshift) — no RNG dependency, and
@@ -360,24 +332,7 @@ fn build_report(outcomes: &[Outcome]) -> Value {
 /// Validates `path` against the v1 schema and enforces the speedup
 /// floor; prints every violation and exits 1 if any is found.
 fn run_check(path: &str, min_speedup: f64) {
-    let mut errors = Vec::new();
-    let report = match std::fs::read_to_string(path) {
-        Ok(text) => match Value::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("FAIL {path}: unparsable JSON: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("FAIL {path}: unreadable: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    if report.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errors.push(format!("schema field is not {SCHEMA:?}"));
-    }
+    let (report, mut errors) = clinfl_bench::load_report(path, SCHEMA);
     let cases = report.get("cases").and_then(Value::as_array).unwrap_or(&[]);
     if cases.is_empty() {
         errors.push("cases array missing or empty".to_string());
@@ -417,17 +372,11 @@ fn run_check(path: &str, min_speedup: f64) {
         None => errors.push("aggregate.speedup missing".to_string()),
     }
 
-    if errors.is_empty() {
-        let speedup = report
-            .get("aggregate")
-            .and_then(|a| a.get("speedup"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        println!("OK {path}: valid {SCHEMA}, aggregate speedup {speedup:.2}x >= {min_speedup}x");
-    } else {
-        for e in &errors {
-            eprintln!("FAIL {path}: {e}");
-        }
-        std::process::exit(1);
-    }
+    let speedup = report
+        .get("aggregate")
+        .and_then(|a| a.get("speedup"))
+        .and_then(Value::as_f64)
+        .unwrap_or(0.0);
+    let summary = format!(", aggregate speedup {speedup:.2}x >= {min_speedup}x");
+    clinfl_bench::finish_check(path, SCHEMA, &errors, &summary);
 }

@@ -16,9 +16,9 @@
 //!   the report's `wire.reduction` (raw bytes / encoded bytes) to be at
 //!   least `R`.
 //!
-//! The smoke workload honors `CLINFL_WIRE_CODEC` / `CLINFL_WIRE_QUANT` /
-//! `CLINFL_WIRE_TOPK` (same grammar as the `clinfl` CLI flags) so CI can
-//! benchmark compressed weight exchange, and `CLINFL_FAULTS` (`mild`,
+//! The smoke workload honors `CLINFL_WIRE_CODEC` (the `wire_codec` run
+//! key, e.g. `delta+topk0.05+int8`) so CI can benchmark compressed
+//! weight exchange, and `CLINFL_FAULTS` (`mild`,
 //! `aggressive`) to run the workload under link faults with the
 //! fault-tolerant runtime settings from the chaos suite.
 //!
@@ -26,7 +26,8 @@
 //! `scripts/check.sh wire-codec`) and uploads the JSON as build
 //! artifacts.
 
-use clinfl::{drivers, ModelSpec, PipelineConfig};
+use clinfl::{drivers, Partition, PipelineConfig, RunSpec};
+use clinfl_flare::codec::CodecSpec;
 use clinfl_flare::faults::FaultConfig;
 use clinfl_obs::json::Value;
 use clinfl_obs::{HistogramSnapshot, MetricsSnapshot};
@@ -36,60 +37,35 @@ use std::time::Duration;
 const SCHEMA: &str = "clinfl-bench-report/v1";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out = String::from("BENCH_report.json");
-    let mut check: Option<String> = None;
-    let mut min_reduction: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = it.next().expect("--out requires a path").clone(),
-            "--check" => check = Some(it.next().expect("--check requires a path").clone()),
-            "--min-reduction" => {
-                min_reduction = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--min-reduction requires a number"),
-                );
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: bench_report --smoke [--out PATH] | --check PATH [--min-reduction R]"
-                );
-                std::process::exit(2);
-            }
-        }
+    let usage = "bench_report --smoke [--out PATH] | --check PATH [--min-reduction R]";
+    match clinfl_bench::report_args(
+        "--smoke",
+        "BENCH_report.json",
+        Some("--min-reduction"),
+        usage,
+    ) {
+        clinfl_bench::ReportMode::Run(out) => run_smoke(&out),
+        clinfl_bench::ReportMode::Check(path, min_reduction) => run_check(&path, min_reduction),
     }
-    if let Some(path) = check {
-        run_check(&path, min_reduction);
-        return;
-    }
-    if !smoke {
-        eprintln!("usage: bench_report --smoke [--out PATH] | --check PATH [--min-reduction R]");
-        std::process::exit(2);
-    }
-    run_smoke(&out);
 }
 
-/// Applies the `CLINFL_WIRE_*` / `CLINFL_FAULTS` environment knobs to the
-/// smoke config. Fault profiles also switch on the chaos suite's
-/// fault-tolerant runtime settings (quorum of 3, grace period, redundant
-/// submits) so aggressive link faults cannot wedge the round.
-fn apply_env(cfg: &mut PipelineConfig) {
+/// The smoke run with the `CLINFL_WIRE_CODEC` / `CLINFL_FAULTS`
+/// environment knobs applied. Fault profiles also switch on the chaos
+/// suite's fault-tolerant runtime settings (quorum of 3, grace period,
+/// redundant submits) so aggressive link faults cannot wedge the round.
+fn smoke_spec() -> RunSpec {
+    let mut spec = RunSpec::new(PipelineConfig::fast_demo(), Partition::Imbalanced);
     if let Ok(codec) = std::env::var("CLINFL_WIRE_CODEC") {
-        cfg.runtime.wire_codec = codec;
+        let checked = spec.set("wire_codec", &codec).and_then(|()| {
+            spec.validate()
+                .map_err(|e| format!("CLINFL_WIRE_CODEC: {}", e.msg))
+        });
+        if let Err(e) = checked {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     }
-    cfg.runtime.wire_quant = std::env::var("CLINFL_WIRE_QUANT").ok();
-    cfg.runtime.wire_topk = std::env::var("CLINFL_WIRE_TOPK")
-        .ok()
-        .map(|v| v.parse().expect("CLINFL_WIRE_TOPK must be a number"));
-    if let Err(e) = cfg.runtime.wire_spec() {
-        eprintln!("invalid wire codec configuration: {e}");
-        std::process::exit(2);
-    }
+    let cfg = &mut spec.pipeline;
     let faults = FaultConfig::from_env(cfg.seed.wrapping_add(7));
     if faults.is_active() {
         cfg.runtime.faults = faults;
@@ -99,6 +75,7 @@ fn apply_env(cfg: &mut PipelineConfig) {
         cfg.runtime.retry.message_timeout = Duration::from_secs(60);
         cfg.runtime.retry.submit_copies = 2;
     }
+    spec
 }
 
 /// Touches every instrumented tensor kernel once so the report's kernel
@@ -117,15 +94,15 @@ fn run_smoke(out: &str) {
     clinfl_obs::set_enabled(true);
     let before = clinfl_obs::snapshot();
     kernel_smoke();
-    let mut cfg = PipelineConfig::fast_demo();
-    apply_env(&mut cfg);
-    let codec = cfg.runtime.wire_spec().expect("validated in apply_env");
-    let outcome =
-        drivers::train_federated(&cfg, ModelSpec::Lstm).expect("federated smoke run failed");
+    let spec = smoke_spec();
+    let cfg = &spec.pipeline;
+    let codec = CodecSpec::parse(&cfg.runtime.wire_codec).expect("validated in smoke_spec");
+    let outcome = drivers::train_spec(&spec, clinfl_flare::EventLog::new())
+        .expect("federated smoke run failed");
     let after = clinfl_obs::snapshot();
     let delta = snapshot_delta(&before, &after);
 
-    let report = build_report(&cfg, outcome.accuracy, &delta);
+    let report = build_report(cfg, outcome.accuracy, &delta);
     std::fs::write(out, report.to_json()).expect("write report");
     println!(
         "== bench_report: federated LSTM smoke ({} sites, {} rounds, codec {codec}) ==",
@@ -231,9 +208,7 @@ fn build_report(cfg: &PipelineConfig, accuracy: f64, m: &MetricsSnapshot) -> Val
     // Codec accounting: raw-equivalent vs on-the-wire byte totals for the
     // weight-bearing frames (see `clinfl_flare::codec`). For an all-raw
     // run both totals are equal and the reduction reports 1.0.
-    let codec = cfg
-        .runtime
-        .wire_spec()
+    let codec = CodecSpec::parse(&cfg.runtime.wire_codec)
         .map(|s| s.to_string())
         .unwrap_or_else(|_| "raw".to_string());
     let wire_tx_raw = m.counter("flare.wire.bytes_tx_raw");
@@ -296,24 +271,7 @@ fn build_report(cfg: &PipelineConfig, accuracy: f64, m: &MetricsSnapshot) -> Val
 /// exits 1 if any is found. With `min_reduction`, also requires
 /// `wire.reduction >= R` (compressed runs must actually compress).
 fn run_check(path: &str, min_reduction: Option<f64>) {
-    let mut errors = Vec::new();
-    let report = match std::fs::read_to_string(path) {
-        Ok(text) => match Value::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("FAIL {path}: unparsable JSON: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("FAIL {path}: unreadable: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    if report.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errors.push(format!("schema field is not {SCHEMA:?}"));
-    }
+    let (report, mut errors) = clinfl_bench::load_report(path, SCHEMA);
     let kernel_calls = report
         .get("kernels")
         .and_then(|k| k.get("tensor.matmul"))
@@ -376,12 +334,5 @@ fn run_check(path: &str, min_reduction: Option<f64>) {
         }
     }
 
-    if errors.is_empty() {
-        println!("OK {path}: valid {SCHEMA}");
-    } else {
-        for e in &errors {
-            eprintln!("FAIL {path}: {e}");
-        }
-        std::process::exit(1);
-    }
+    clinfl_bench::finish_check(path, SCHEMA, &errors, "");
 }

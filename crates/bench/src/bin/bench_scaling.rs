@@ -52,39 +52,13 @@ const LATENCY_FLOOR_MS: f64 = 2.0;
 const DEFAULT_MAX_RATIO: f64 = 4.0;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut run = false;
-    let mut out = String::from("BENCH_scaling.json");
-    let mut check: Option<String> = None;
-    let mut max_ratio = DEFAULT_MAX_RATIO;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--run" => run = true,
-            "--out" => out = it.next().expect("--out requires a path").clone(),
-            "--check" => check = Some(it.next().expect("--check requires a path").clone()),
-            "--max-ratio" => {
-                max_ratio = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-ratio requires a number");
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!("usage: bench_scaling --run [--out PATH] | --check PATH [--max-ratio R]");
-                std::process::exit(2);
-            }
+    let usage = "bench_scaling --run [--out PATH] | --check PATH [--max-ratio R]";
+    match clinfl_bench::report_args("--run", "BENCH_scaling.json", Some("--max-ratio"), usage) {
+        clinfl_bench::ReportMode::Run(out) => run_curve(&out),
+        clinfl_bench::ReportMode::Check(path, max) => {
+            run_check(&path, max.unwrap_or(DEFAULT_MAX_RATIO))
         }
     }
-    if let Some(path) = check {
-        run_check(&path, max_ratio);
-        return;
-    }
-    if !run {
-        eprintln!("usage: bench_scaling --run [--out PATH] | --check PATH [--max-ratio R]");
-        std::process::exit(2);
-    }
-    run_curve(&out);
 }
 
 /// Site counts to sweep, from `CLINFL_SCALE_SITES` or the paper-to-fleet
@@ -372,24 +346,7 @@ fn snapshot_delta(before: &MetricsSnapshot, after: &MetricsSnapshot) -> MetricsS
 /// Validates `path` against the v1 schema and enforces the latency gate;
 /// prints every violation and exits 1 if any is found.
 fn run_check(path: &str, max_ratio: f64) {
-    let mut errors = Vec::new();
-    let report = match std::fs::read_to_string(path) {
-        Ok(text) => match Value::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("FAIL {path}: unparsable JSON: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("FAIL {path}: unreadable: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    if report.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errors.push(format!("schema field is not {SCHEMA:?}"));
-    }
+    let (report, mut errors) = clinfl_bench::load_report(path, SCHEMA);
     let scales = report
         .get("scales")
         .and_then(Value::as_array)
@@ -468,12 +425,6 @@ fn run_check(path: &str, max_ratio: f64) {
         _ => errors.push("gate.ratio / gate.top_root_work_ms missing".to_string()),
     }
 
-    if errors.is_empty() {
-        println!("OK {path}: valid {SCHEMA}, scaling gate within {max_ratio}x");
-    } else {
-        for e in &errors {
-            eprintln!("FAIL {path}: {e}");
-        }
-        std::process::exit(1);
-    }
+    let summary = format!(", scaling gate within {max_ratio}x");
+    clinfl_bench::finish_check(path, SCHEMA, &errors, &summary);
 }

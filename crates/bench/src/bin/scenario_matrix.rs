@@ -10,7 +10,8 @@
 //!   partition) at fast-demo scale and write the report (default
 //!   `BENCH_scenarios.json`). The baseline cell (balanced, fraction 1.0,
 //!   DP off) is re-run through the plain `train_federated_with` path and
-//!   must match bit-for-bit: sampling and DP knobs at their disabled
+//!   must match bit-for-bit: a cell is a `RunSpec` run exactly like
+//!   `clinfl federated`, and sampling and DP knobs at their disabled
 //!   settings take the exact legacy code path.
 //! * `scenario_matrix --check PATH` — validate an existing report
 //!   against the `clinfl-bench-scenarios/v1` schema; exits non-zero
@@ -21,7 +22,7 @@
 //! CI runs both back to back (`scripts/check.sh scenarios`) and uploads
 //! the JSON as a build artifact.
 
-use clinfl::{drivers, ModelSpec, PipelineConfig};
+use clinfl::{drivers, ModelSpec, Partition, PipelineConfig, RunSpec};
 use clinfl_data::SitePartitioner;
 use clinfl_flare::EventLog;
 use clinfl_obs::json::Value;
@@ -29,152 +30,104 @@ use clinfl_obs::json::Value;
 /// Schema identifier stamped into (and required from) every report.
 const SCHEMA: &str = "clinfl-bench-scenarios/v1";
 
-/// One point of the sweep grid.
-struct Cell {
-    partition: &'static str,
-    /// Dirichlet concentration when `partition == "dirichlet"`.
-    alpha: f64,
-    sample_fraction: f64,
-    dp: bool,
-    fedprox_mu: f32,
-    personalize_epochs: u32,
-}
+/// DP-SGD settings used by every DP-on cell.
+const DP_CLIP: f32 = 1.0;
+const DP_SIGMA: f32 = 0.8;
 
-impl Cell {
-    fn name(&self) -> String {
-        let mut name = format!("{}/f{:.2}", self.partition, self.sample_fraction);
-        name.push_str(if self.dp { "/dp-on" } else { "/dp-off" });
-        if self.personalize_epochs > 0 {
-            name.push_str("/personalized");
-        }
-        name
-    }
-}
-
-/// The smoke grid: the full 2×2×2 core (both partitions × sampling
-/// on/off × DP on/off) plus a personalization + FedProx arm per
-/// partition.
-fn smoke_grid() -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for partition in ["balanced", "dirichlet"] {
-        for sample_fraction in [1.0, 0.5] {
-            for dp in [false, true] {
-                cells.push(Cell {
-                    partition,
-                    alpha: 0.3,
-                    sample_fraction,
-                    dp,
-                    fedprox_mu: 0.0,
-                    personalize_epochs: 0,
-                });
-            }
-        }
-        cells.push(Cell {
-            partition,
-            alpha: 0.3,
-            sample_fraction: 0.5,
-            dp: false,
-            fedprox_mu: 0.01,
-            personalize_epochs: 1,
-        });
-    }
-    cells
-}
-
-/// The shared base config every cell perturbs: fast-demo scale with a
-/// slightly smaller cohort so the full grid stays CI-friendly.
+/// The shared base every cell perturbs: fast-demo scale with a slightly
+/// smaller cohort so the full grid stays CI-friendly.
 fn base_config() -> PipelineConfig {
     let mut cfg = PipelineConfig::fast_demo();
     cfg.cohort.n_patients = 160;
     cfg
 }
 
-/// DP-SGD settings used by every DP-on cell.
-const DP_CLIP: f32 = 1.0;
-const DP_SIGMA: f32 = 0.8;
-
-fn run_cell(cell: &Cell) -> drivers::TrainOutcome {
-    let mut cfg = base_config();
-    cfg.runtime.client_sample_fraction = cell.sample_fraction;
-    if cell.dp {
-        cfg.runtime.dp_clip = Some(DP_CLIP);
-        cfg.runtime.dp_sigma = DP_SIGMA;
+/// The smoke grid, one run spec per cell: the full 2×2×2 core (both
+/// partitions × sampling on/off × DP on/off) plus a personalization +
+/// FedProx arm per partition.
+fn smoke_grid() -> Vec<RunSpec> {
+    let mut cells = Vec::new();
+    for partition in [Partition::Balanced, Partition::Dirichlet(0.3)] {
+        for (fraction, dp, personalize) in [
+            (1.0, false, false),
+            (1.0, true, false),
+            (0.5, false, false),
+            (0.5, true, false),
+            (0.5, false, true),
+        ] {
+            let mut spec = RunSpec::new(base_config(), partition);
+            let rt = &mut spec.pipeline.runtime;
+            rt.client_sample_fraction = fraction;
+            if dp {
+                rt.dp_clip = Some(DP_CLIP);
+                rt.dp_sigma = DP_SIGMA;
+            }
+            if personalize {
+                rt.fedprox_mu = Some(0.01);
+                rt.personalize_epochs = 1;
+            }
+            cells.push(spec);
+        }
     }
-    if cell.fedprox_mu > 0.0 {
-        cfg.runtime.fedprox_mu = Some(cell.fedprox_mu);
-    }
-    cfg.runtime.personalize_epochs = cell.personalize_epochs;
-    let partitioner = match cell.partition {
-        "balanced" => cfg.balanced_partitioner(),
-        "dirichlet" => SitePartitioner::Dirichlet {
-            n_sites: cfg.n_clients,
-            alpha: cell.alpha,
-        },
-        other => unreachable!("unknown partition kind {other:?}"),
-    };
-    drivers::train_federated_with(&cfg, ModelSpec::Lstm, &partitioner, EventLog::new())
-        .expect("scenario cell failed")
+    cells
 }
 
-fn cell_value(cell: &Cell, outcome: &drivers::TrainOutcome) -> Value {
+/// The partition kind as the report names it.
+fn partition_kind(cell: &RunSpec) -> &'static str {
+    match cell.partition {
+        Partition::Dirichlet(_) => "dirichlet",
+        _ => "balanced",
+    }
+}
+
+fn cell_name(cell: &RunSpec) -> String {
+    let rt = &cell.pipeline.runtime;
+    let mut name = format!("{}/f{:.2}", partition_kind(cell), rt.client_sample_fraction);
+    name.push_str(if rt.dp_clip.is_some() {
+        "/dp-on"
+    } else {
+        "/dp-off"
+    });
+    if rt.personalize_epochs > 0 {
+        name.push_str("/personalized");
+    }
+    name
+}
+
+fn cell_value(cell: &RunSpec, outcome: &drivers::TrainOutcome) -> Value {
+    let rt = &cell.pipeline.runtime;
+    let dp = rt.dp_clip.is_some();
     let (epsilon, delta) = outcome.privacy.unwrap_or((0.0, 0.0));
+    let when = |on: bool, v: f64| if on { Value::Float(v) } else { Value::Null };
+    let alpha = match cell.partition {
+        Partition::Dirichlet(alpha) => Value::Float(alpha),
+        _ => Value::Null,
+    };
     Value::object(vec![
-        ("name", Value::Str(cell.name())),
-        ("partition", Value::Str(cell.partition.to_string())),
+        ("name", Value::Str(cell_name(cell))),
+        ("partition", Value::Str(partition_kind(cell).to_string())),
+        ("alpha", alpha),
+        ("sample_fraction", Value::Float(rt.client_sample_fraction)),
+        ("dp", Value::Bool(dp)),
+        ("dp_clip", when(dp, f64::from(DP_CLIP))),
+        ("dp_sigma", when(dp, f64::from(DP_SIGMA))),
         (
-            "alpha",
-            if cell.partition == "dirichlet" {
-                Value::Float(cell.alpha)
-            } else {
-                Value::Null
-            },
+            "fedprox_mu",
+            Value::Float(f64::from(rt.fedprox_mu.unwrap_or(0.0))),
         ),
-        ("sample_fraction", Value::Float(cell.sample_fraction)),
-        ("dp", Value::Bool(cell.dp)),
-        (
-            "dp_clip",
-            if cell.dp {
-                Value::Float(f64::from(DP_CLIP))
-            } else {
-                Value::Null
-            },
-        ),
-        (
-            "dp_sigma",
-            if cell.dp {
-                Value::Float(f64::from(DP_SIGMA))
-            } else {
-                Value::Null
-            },
-        ),
-        ("fedprox_mu", Value::Float(f64::from(cell.fedprox_mu))),
         (
             "personalize_epochs",
-            Value::UInt(u64::from(cell.personalize_epochs)),
+            Value::UInt(u64::from(rt.personalize_epochs)),
         ),
         ("accuracy", Value::Float(outcome.accuracy)),
-        (
-            "epsilon",
-            if cell.dp {
-                Value::Float(epsilon)
-            } else {
-                Value::Null
-            },
-        ),
-        (
-            "delta",
-            if cell.dp {
-                Value::Float(delta)
-            } else {
-                Value::Null
-            },
-        ),
+        ("epsilon", when(dp, epsilon)),
+        ("delta", when(dp, delta)),
         (
             "personalized_mean",
-            match outcome.personalized_mean {
-                Some(m) => Value::Float(m),
-                None => Value::Null,
-            },
+            when(
+                outcome.personalized_mean.is_some(),
+                outcome.personalized_mean.unwrap_or(0.0),
+            ),
         ),
     ])
 }
@@ -190,8 +143,8 @@ fn run_smoke(out: &str) {
     );
     let mut rows = Vec::new();
     for cell in &cells {
-        let outcome = run_cell(cell);
-        let mut line = format!("{:<40} accuracy={:.3}", cell.name(), outcome.accuracy);
+        let outcome = drivers::train_spec(cell, EventLog::new()).expect("scenario cell failed");
+        let mut line = format!("{:<40} accuracy={:.3}", cell_name(cell), outcome.accuracy);
         if let Some((eps, delta)) = outcome.privacy {
             line.push_str(&format!("  (eps={eps:.3}, delta={delta:.0e})"));
         }
@@ -206,13 +159,15 @@ fn run_smoke(out: &str) {
     // path: fraction >= 1.0 and DP off change no code that touches data.
     let baseline = rows
         .iter()
-        .find(|(c, _)| c.partition == "balanced" && c.sample_fraction >= 1.0 && !c.dp)
+        .find(|(c, _)| cell_name(c) == "balanced/f1.00/dp-off")
         .expect("grid always contains the baseline cell");
     let cfg = base_config();
     let reference = drivers::train_federated_with(
         &cfg,
         ModelSpec::Lstm,
-        &cfg.balanced_partitioner(),
+        &SitePartitioner::Balanced {
+            n_sites: cfg.n_clients,
+        },
         EventLog::new(),
     )
     .expect("reference run failed");
@@ -247,24 +202,7 @@ fn run_smoke(out: &str) {
 /// Validates `path` against the v1 schema; prints every violation and
 /// exits 1 if any is found.
 fn run_check(path: &str) {
-    let mut errors = Vec::new();
-    let report = match std::fs::read_to_string(path) {
-        Ok(text) => match Value::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("FAIL {path}: unparsable JSON: {e}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("FAIL {path}: unreadable: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    if report.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        errors.push(format!("schema field is not {SCHEMA:?}"));
-    }
+    let (report, mut errors) = clinfl_bench::load_report(path, SCHEMA);
     let cells = report.get("cells").and_then(Value::as_array).unwrap_or(&[]);
     if cells.len() < 8 {
         errors.push(format!("only {} cells, need >= 8", cells.len()));
@@ -328,41 +266,14 @@ fn run_check(path: &str) {
         }
     }
 
-    if errors.is_empty() {
-        println!("OK {path}: valid {SCHEMA} ({} cells)", cells.len());
-    } else {
-        for e in &errors {
-            eprintln!("FAIL {path}: {e}");
-        }
-        std::process::exit(1);
-    }
+    let summary = format!(" ({} cells)", cells.len());
+    clinfl_bench::finish_check(path, SCHEMA, &errors, &summary);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out = String::from("BENCH_scenarios.json");
-    let mut check: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = it.next().expect("--out requires a path").clone(),
-            "--check" => check = Some(it.next().expect("--check requires a path").clone()),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!("usage: scenario_matrix --smoke [--out PATH] | --check PATH");
-                std::process::exit(2);
-            }
-        }
+    let usage = "scenario_matrix --smoke [--out PATH] | --check PATH";
+    match clinfl_bench::report_args("--smoke", "BENCH_scenarios.json", None, usage) {
+        clinfl_bench::ReportMode::Run(out) => run_smoke(&out),
+        clinfl_bench::ReportMode::Check(path, _) => run_check(&path),
     }
-    if let Some(path) = check {
-        run_check(&path);
-        return;
-    }
-    if !smoke {
-        eprintln!("usage: scenario_matrix --smoke [--out PATH] | --check PATH");
-        std::process::exit(2);
-    }
-    run_smoke(&out);
 }

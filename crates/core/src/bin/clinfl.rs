@@ -4,49 +4,30 @@
 //! ```text
 //! clinfl centralized --model lstm --scale 16
 //! clinfl standalone  --model bert-mini --scale 16
-//! clinfl federated   --model lstm --scale 16 [--balanced] [--echo]
-//!                    [--dirichlet A] [--sample-fraction F]
-//!                    [--dp-clip C] [--dp-sigma S] [--dp-delta D]
-//!                    [--fedprox-mu M] [--personalize-epochs N]
-//!                    [--checkpoint-dir D] [--resume D] [--retain N]
-//!                    [--wire-codec S] [--wire-quant Q] [--wire-topk F]
-//!                    [--tree-depth D] [--tree-fanout F]
+//! clinfl federated   --model lstm --scale 16 [--echo] [--<key> VALUE ...]
 //! clinfl pretrain    --scale 64 --scheme centralized
 //! clinfl table3      --scale 10
 //! clinfl fig2        --scale 32
 //! clinfl serve       [--addr A] [--addr-file F] [--max-jobs N] [--scale N]
 //!                    [--checkpoint-root D]
-//! clinfl job submit  [--addr A] [--file F]     # config on stdin without --file
+//! clinfl job submit  [--addr A] [--file F]     # job text on stdin without --file
 //! clinfl job list    [--addr A]
 //! clinfl job abort   [--addr A] --id N
 //! clinfl job metrics [--addr A] --id N [--follow]
 //! ```
 //!
-//! `--checkpoint-dir D` persists per-round snapshots and a crash-safe run
-//! checkpoint into `D`; `--resume D` restarts an interrupted federated run
-//! from the checkpoint in `D` (same seed required); `--retain N` keeps at
-//! most `N` per-round snapshot files on disk.
-//!
-//! `--wire-codec S` selects the negotiated weight-exchange codec (e.g.
-//! `raw`, `delta`, `delta+int8`, `delta+topk0.05+int8`); `--wire-quant Q`
-//! (`f32|f16|int8`) and `--wire-topk F` (fraction in `(0,1]`) override the
-//! quantizer / sparsifier components of that codec string. See DESIGN.md
-//! §3g for the wire-format spec.
-//!
-//! `--tree-depth D` (with `--tree-fanout F`, default 8) runs the
-//! federation through a hierarchical aggregation tree: interior nodes
-//! partial-FedAvg their shard of sites and forward one update upstream
-//! (DESIGN.md §3h). Depth `<= 1` keeps the classic flat fleet.
-//!
-//! Scenario knobs (DESIGN.md §3k): `--dirichlet A` draws the site
-//! partition from a symmetric Dirichlet(α) (lower α = more quantity
-//! skew); `--sample-fraction F` trains a seeded `ceil(F·n)`-site subset
-//! each round; `--dp-clip C` + `--dp-sigma S` enable DP-SGD (clip each
-//! site's update to L2 norm `C`, add Gaussian noise `S·C`), with the
-//! cumulative (ε, δ) at `--dp-delta D` (default 1e-5) printed at the
-//! end; `--fedprox-mu M` adds the FedProx proximal term; and
-//! `--personalize-epochs N` fine-tunes the final global model locally at
-//! each site for `N` epochs after the federation.
+//! Every training subcommand takes the run table of `clinfl::RunSpec`
+//! (README "Run keys"): `--some-key VALUE` sets key `some_key`, exactly
+//! as the line `some_key = VALUE` does in a job submitted to `clinfl
+//! serve`. For example `--partition dirichlet:0.3`, `--wire-codec
+//! delta+int8`, `--tree-depth 2`, `--sample-fraction 0.5`, `--dp-clip 1
+//! --dp-sigma 0.8`, `--fedprox-mu 0.01`, `--personalize-epochs 1`,
+//! `--checkpoint-dir D`, `--resume D`. Only `--scale` (the data-volume
+//! preset the keys apply over), `--scheme` (the MLM pretraining regime)
+//! and `--echo` (the Fig. 3-style live federation log) sit outside the
+//! table. `clinfl federated` runs over `scaled(--scale)` with the paper's
+//! imbalanced partition; `clinfl serve` gives jobs the same preset with
+//! the balanced partition.
 //!
 //! Every subcommand runs on the synthetic cohort/corpus at `1/scale` of
 //! the paper's data volumes (see DESIGN.md for the substitution rationale).
@@ -61,7 +42,7 @@
 
 use clinfl::drivers::{self, MlmScheme};
 use clinfl::experiments;
-use clinfl::{ModelSpec, PipelineConfig};
+use clinfl::{Partition, PipelineConfig, RunSpec, RUN_KEYS};
 use clinfl_flare::admin::AdminServer;
 use clinfl_flare::jobs::JobRuntime;
 use clinfl_flare::EventLog;
@@ -69,41 +50,14 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-struct Args {
-    command: String,
-    scale: usize,
-    model: ModelSpec,
-    scheme: MlmScheme,
-    balanced: bool,
-    echo: bool,
-    checkpoint_dir: Option<std::path::PathBuf>,
-    resume: bool,
-    retain: Option<usize>,
-    wire_codec: Option<String>,
-    wire_quant: Option<String>,
-    wire_topk: Option<f64>,
-    tree_depth: Option<u32>,
-    tree_fanout: Option<usize>,
-    dirichlet: Option<f64>,
-    sample_fraction: Option<f64>,
-    dp_clip: Option<f32>,
-    dp_sigma: Option<f32>,
-    dp_delta: Option<f64>,
-    fedprox_mu: Option<f32>,
-    personalize_epochs: Option<u32>,
-}
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage: clinfl <centralized|standalone|federated|pretrain|table3|fig2> \
-         [--scale N] [--model lstm|bert|bert-mini] [--scheme centralized|small|fl-imbalanced|fl-balanced] \
-         [--balanced] [--dirichlet A] [--echo] [--checkpoint-dir D] [--resume D] [--retain N] \
-         [--wire-codec S] [--wire-quant f32|f16|int8] [--wire-topk F] \
-         [--tree-depth D] [--tree-fanout F] \
-         [--sample-fraction F] [--dp-clip C] [--dp-sigma S] [--dp-delta D] \
-         [--fedprox-mu M] [--personalize-epochs N]\n\
+         [--scale N] [--scheme centralized|small|fl-imbalanced|fl-balanced] [--echo] [--<key> VALUE ...]\n\
+         \x20      keys: {}\n\
          \x20      clinfl serve [--addr A] [--addr-file F] [--max-jobs N] [--scale N] [--checkpoint-root D]\n\
-         \x20      clinfl job <submit|list|abort|metrics> [--addr A] [--file F] [--id N] [--follow]"
+         \x20      clinfl job <submit|list|abort|metrics> [--addr A] [--file F] [--id N] [--follow]",
+        RUN_KEYS.join(" ")
     );
     ExitCode::from(2)
 }
@@ -165,33 +119,24 @@ fn cmd_serve(mut argv: impl Iterator<Item = String>) -> ExitCode {
     let mut scale = 16usize;
     let mut checkpoint_root: Option<std::path::PathBuf> = None;
     while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--addr" => match argv.next() {
-                Some(a) => addr = a,
-                None => return usage(),
-            },
-            "--addr-file" => match argv.next() {
-                Some(f) => addr_file = Some(f.into()),
-                None => return usage(),
-            },
-            "--max-jobs" => match argv.next().and_then(|v| v.parse().ok()) {
-                Some(n) => max_jobs = n,
-                None => return usage(),
-            },
-            "--scale" => match argv.next().and_then(|v| v.parse().ok()) {
-                Some(n) => scale = n,
-                None => return usage(),
-            },
-            "--checkpoint-root" => match argv.next() {
-                Some(d) => checkpoint_root = Some(d.into()),
-                None => return usage(),
-            },
+        let Some(value) = argv.next() else {
+            return usage();
+        };
+        match (flag.as_str(), value.parse()) {
+            ("--addr", _) => addr = value,
+            ("--addr-file", _) => addr_file = Some(value.into()),
+            ("--max-jobs", Ok(n)) => max_jobs = n,
+            ("--scale", Ok(n)) => scale = n,
+            ("--checkpoint-root", _) => checkpoint_root = Some(value.into()),
             _ => return usage(),
         }
     }
-    let cfg = PipelineConfig::scaled(scale);
+    // Jobs stay flat whatever `CLINFL_TREE` says unless they set
+    // `tree_depth` themselves.
+    let mut base = RunSpec::new(PipelineConfig::scaled(scale), Partition::Balanced);
+    base.pipeline.runtime.tree_depth = 1;
     let runtime = JobRuntime::new(max_jobs);
-    let factory = drivers::serve_job_factory(cfg, checkpoint_root);
+    let factory = drivers::serve_job_factory(base, checkpoint_root);
     let server = match AdminServer::bind(&addr, runtime.clone(), factory) {
         Ok(s) => s,
         Err(e) => {
@@ -223,20 +168,17 @@ fn cmd_job(mut argv: impl Iterator<Item = String>) -> ExitCode {
     let mut id: Option<u64> = None;
     let mut follow = false;
     while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--addr" => match argv.next() {
-                Some(a) => addr = a,
-                None => return usage(),
-            },
-            "--file" => match argv.next() {
-                Some(f) => file = Some(f.into()),
-                None => return usage(),
-            },
-            "--id" => match argv.next().and_then(|v| v.parse().ok()) {
-                Some(n) => id = Some(n),
-                None => return usage(),
-            },
-            "--follow" => follow = true,
+        if flag == "--follow" {
+            follow = true;
+            continue;
+        }
+        let Some(value) = argv.next() else {
+            return usage();
+        };
+        match (flag.as_str(), value.parse()) {
+            ("--addr", _) => addr = value,
+            ("--file", _) => file = Some(value.into()),
+            ("--id", Ok(n)) => id = Some(n),
             _ => return usage(),
         }
     }
@@ -319,47 +261,26 @@ fn cmd_job(mut argv: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-fn parse_args() -> Result<Args, ExitCode> {
+/// Splits the process-level flags (`--scale`, `--scheme`, `--echo`) off
+/// the argv; everything else is the run table.
+struct Cli {
+    command: String,
+    scale: usize,
+    scheme: MlmScheme,
+    echo: bool,
+    spec: RunSpec,
+}
+
+fn parse_cli() -> Result<Cli, ExitCode> {
     let mut argv = std::env::args().skip(1);
-    let Some(command) = argv.next() else {
-        return Err(usage());
-    };
-    let mut args = Args {
-        command,
-        scale: 16,
-        model: ModelSpec::Lstm,
-        scheme: MlmScheme::Centralized,
-        balanced: false,
-        echo: false,
-        checkpoint_dir: None,
-        resume: false,
-        retain: None,
-        wire_codec: None,
-        wire_quant: None,
-        wire_topk: None,
-        tree_depth: None,
-        tree_fanout: None,
-        dirichlet: None,
-        sample_fraction: None,
-        dp_clip: None,
-        dp_sigma: None,
-        dp_delta: None,
-        fedprox_mu: None,
-        personalize_epochs: None,
-    };
+    let command = argv.next().ok_or_else(usage)?;
+    let (mut scale, mut scheme, mut echo) = (16, MlmScheme::Centralized, false);
+    let mut table = Vec::new();
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--scale" => args.scale = argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?,
-            "--model" => {
-                args.model = match argv.next().as_deref() {
-                    Some("lstm") => ModelSpec::Lstm,
-                    Some("bert") => ModelSpec::Bert,
-                    Some("bert-mini") | Some("bert_mini") => ModelSpec::BertMini,
-                    _ => return Err(usage()),
-                }
-            }
+            "--scale" => scale = argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?,
             "--scheme" => {
-                args.scheme = match argv.next().as_deref() {
+                scheme = match argv.next().as_deref() {
                     Some("centralized") => MlmScheme::Centralized,
                     Some("small") => MlmScheme::SmallData,
                     Some("fl-imbalanced") => MlmScheme::FlImbalanced,
@@ -367,57 +288,25 @@ fn parse_args() -> Result<Args, ExitCode> {
                     _ => return Err(usage()),
                 }
             }
-            "--balanced" => args.balanced = true,
-            "--echo" => args.echo = true,
-            "--checkpoint-dir" => {
-                args.checkpoint_dir = Some(argv.next().ok_or_else(usage)?.into());
+            "--echo" => echo = true,
+            _ => {
+                table.push(flag);
+                table.extend(argv.next());
             }
-            "--resume" => {
-                args.checkpoint_dir = Some(argv.next().ok_or_else(usage)?.into());
-                args.resume = true;
-            }
-            "--retain" => {
-                args.retain = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--wire-codec" => args.wire_codec = Some(argv.next().ok_or_else(usage)?),
-            "--wire-quant" => args.wire_quant = Some(argv.next().ok_or_else(usage)?),
-            "--wire-topk" => {
-                args.wire_topk = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--tree-depth" => {
-                args.tree_depth = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--tree-fanout" => {
-                args.tree_fanout =
-                    Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--dirichlet" => {
-                args.dirichlet = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--sample-fraction" => {
-                args.sample_fraction =
-                    Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--dp-clip" => {
-                args.dp_clip = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--dp-sigma" => {
-                args.dp_sigma = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--dp-delta" => {
-                args.dp_delta = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--fedprox-mu" => {
-                args.fedprox_mu = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            "--personalize-epochs" => {
-                args.personalize_epochs =
-                    Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?);
-            }
-            _ => return Err(usage()),
         }
     }
-    Ok(args)
+    let base = RunSpec::new(PipelineConfig::scaled(scale), Partition::Imbalanced);
+    let spec = base.parse_args(table).map_err(|e| {
+        eprintln!("clinfl: {e}");
+        ExitCode::from(2)
+    })?;
+    Ok(Cli {
+        command,
+        scale,
+        scheme,
+        echo,
+        spec,
+    })
 }
 
 fn main() -> ExitCode {
@@ -431,70 +320,28 @@ fn main() -> ExitCode {
             _ => {}
         }
     }
-    let args = match parse_args() {
-        Ok(a) => a,
+    let cli = match parse_cli() {
+        Ok(c) => c,
         Err(code) => return code,
     };
-    let mut cfg = PipelineConfig::scaled(args.scale);
-    cfg.runtime.checkpoint_dir = args.checkpoint_dir.clone();
-    cfg.runtime.resume = args.resume;
-    cfg.runtime.retain_checkpoints = args.retain;
-    if let Some(c) = args.wire_codec {
-        cfg.runtime.wire_codec = c;
-    }
-    cfg.runtime.wire_quant = args.wire_quant;
-    cfg.runtime.wire_topk = args.wire_topk;
-    if let Some(d) = args.tree_depth {
-        cfg.runtime.tree_depth = d;
-    }
-    if let Some(f) = args.tree_fanout {
-        cfg.runtime.tree_fanout = f;
-    }
-    if let Some(f) = args.sample_fraction {
-        if f <= 0.0 || f.is_nan() {
-            eprintln!("--sample-fraction must be positive, got {f}");
-            return ExitCode::from(2);
-        }
-        cfg.runtime.client_sample_fraction = f;
-    }
-    cfg.runtime.dp_clip = args.dp_clip;
-    if let Some(s) = args.dp_sigma {
-        cfg.runtime.dp_sigma = s;
-    }
-    if let Some(d) = args.dp_delta {
-        cfg.runtime.dp_delta = d;
-    }
-    cfg.runtime.fedprox_mu = args.fedprox_mu;
-    if let Some(n) = args.personalize_epochs {
-        cfg.runtime.personalize_epochs = n;
-    }
-    if let Err(e) = cfg.runtime.dp_params() {
-        eprintln!("invalid DP config: {e}");
-        return ExitCode::from(2);
-    }
+    let (cfg, model) = (&cli.spec.pipeline, cli.spec.model);
     if cfg.runtime.tree_depth >= 2 {
         println!(
             "aggregation tree: depth {} fan-out {}",
             cfg.runtime.tree_depth, cfg.runtime.tree_fanout
         );
     }
-    let wire = match cfg.runtime.wire_spec() {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("invalid wire codec: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if !wire.is_raw() {
-        println!("wire codec: {wire}");
+    match clinfl_flare::codec::CodecSpec::parse(&cfg.runtime.wire_codec) {
+        Ok(wire) if !wire.is_raw() => println!("wire codec: {wire}"),
+        _ => {}
     }
     println!(
         "clinfl: {} at scale {} ({} patients, seq {}, {} sites)",
-        args.command, args.scale, cfg.cohort.n_patients, cfg.seq_len, cfg.n_clients
+        cli.command, cli.scale, cfg.cohort.n_patients, cfg.seq_len, cfg.n_clients
     );
-    match args.command.as_str() {
+    match cli.command.as_str() {
         "centralized" => {
-            let out = drivers::train_centralized(&cfg, args.model);
+            let out = drivers::train_centralized(cfg, model);
             for (i, (loss, acc)) in out.history.iter().enumerate() {
                 println!(
                     "epoch {:>3}: train_loss={loss:.3} valid_acc={acc:.3}",
@@ -502,43 +349,27 @@ fn main() -> ExitCode {
                 );
             }
             println!(
-                "{} centralized top-1 accuracy: {:.1}%",
-                args.model,
+                "{model} centralized top-1 accuracy: {:.1}%",
                 100.0 * out.accuracy
             );
         }
         "standalone" => {
-            let out = drivers::train_standalone(&cfg, args.model);
+            let out = drivers::train_standalone(cfg, model);
             for (i, acc) in out.per_site.iter().enumerate() {
                 println!("site-{}: {:.1}%", i + 1, 100.0 * acc);
             }
             println!(
-                "{} standalone mean accuracy: {:.1}%",
-                args.model,
+                "{model} standalone mean accuracy: {:.1}%",
                 100.0 * out.mean_accuracy
             );
         }
         "federated" => {
-            let partitioner = if let Some(alpha) = args.dirichlet {
-                if alpha <= 0.0 || alpha.is_nan() {
-                    eprintln!("--dirichlet alpha must be positive, got {alpha}");
-                    return ExitCode::from(2);
-                }
-                clinfl_data::SitePartitioner::Dirichlet {
-                    n_sites: cfg.n_clients,
-                    alpha,
-                }
-            } else if args.balanced {
-                cfg.balanced_partitioner()
-            } else {
-                cfg.imbalanced_partitioner()
-            };
-            let log = if args.echo {
+            let log = if cli.echo {
                 EventLog::echoing()
             } else {
                 EventLog::new()
             };
-            match drivers::train_federated_with(&cfg, args.model, &partitioner, log) {
+            match drivers::train_spec(&cli.spec, log) {
                 Ok(out) => {
                     for (i, (loss, acc)) in out.history.iter().enumerate() {
                         println!(
@@ -547,8 +378,7 @@ fn main() -> ExitCode {
                         );
                     }
                     println!(
-                        "{} federated top-1 accuracy: {:.1}%",
-                        args.model,
+                        "{model} federated top-1 accuracy: {:.1}%",
                         100.0 * out.accuracy
                     );
                     if let Some((eps, delta)) = out.privacy {
@@ -568,16 +398,16 @@ fn main() -> ExitCode {
             }
         }
         "pretrain" => {
-            let data = drivers::build_mlm_data(&cfg);
+            let data = drivers::build_mlm_data(cfg);
             println!(
                 "corpus: {} train / {} valid, vocab {}",
                 data.train.len(),
                 data.valid.len(),
                 data.vocab_size
             );
-            match drivers::pretrain_mlm(&cfg, args.scheme, &data) {
+            match drivers::pretrain_mlm(cfg, cli.scheme, &data) {
                 Ok(curve) => {
-                    print!("{} MLM valid loss:", args.scheme);
+                    print!("{} MLM valid loss:", cli.scheme);
                     for v in &curve {
                         print!(" {v:.3}");
                     }
@@ -589,14 +419,14 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "table3" => match experiments::run_table3(&cfg) {
+        "table3" => match experiments::run_table3(cfg) {
             Ok(table) => println!("{table}"),
             Err(e) => {
                 eprintln!("table3 failed: {e}");
                 return ExitCode::FAILURE;
             }
         },
-        "fig2" => match experiments::run_fig2(&cfg) {
+        "fig2" => match experiments::run_fig2(cfg) {
             Ok(fig) => println!("{fig}"),
             Err(e) => {
                 eprintln!("fig2 failed: {e}");

@@ -5,8 +5,8 @@
 //!
 //! Writes go through `clinfl_flare::checkpoint`'s atomic writer (tmp
 //! file then rename, CRC trailer), so a crash mid-save can never
-//! truncate a previously good `.cfw`, and loads verify the trailer.
-//! Files written by older builds (no trailer) still load.
+//! truncate a previously good `.cfw`, and loads verify the trailer (a
+//! file without one is refused).
 
 use clinfl_flare::checkpoint::{load_weights_file, save_weights_file};
 use clinfl_flare::{FlareError, Weights};

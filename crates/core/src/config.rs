@@ -150,17 +150,11 @@ pub struct RuntimeConfig {
     /// `"delta"`, `"delta+int8"`, `"delta+topk0.05+int8"`); see
     /// `clinfl_flare::codec::CodecSpec::parse` for the grammar.
     pub wire_codec: String,
-    /// Quantizer override composed onto `wire_codec` (`"f32"`, `"f16"`,
-    /// or `"int8"`); `None` keeps whatever `wire_codec` says.
-    pub wire_quant: Option<String>,
-    /// Top-k sparsification fraction override in `(0, 1]`, composed onto
-    /// `wire_codec`; `None` keeps whatever `wire_codec` says.
-    pub wire_topk: Option<f64>,
-    /// Aggregation-tree depth (edges from the root to a leaf). `0` or
-    /// `1` keeps the classic flat fleet; `>= 2` inserts layers of
-    /// interior aggregator nodes (`clinfl_flare::relay`) so the root
-    /// round cost stays `O(log n)` in the site count. The `CLINFL_TREE`
-    /// environment knob still applies when this is left at `0`.
+    /// Aggregation-tree depth (edges from the root to a leaf). `1` is
+    /// the classic flat fleet; `>= 2` inserts layers of interior
+    /// aggregator nodes (`clinfl_flare::relay`) so the root round cost
+    /// stays `O(log n)` in the site count. `0` leaves the choice to the
+    /// `CLINFL_TREE` environment knob (flat when it is unset).
     pub tree_depth: u32,
     /// Maximum children per aggregation-tree node (only meaningful with
     /// `tree_depth >= 2`).
@@ -202,8 +196,6 @@ impl Default for RuntimeConfig {
             resume: false,
             retain_checkpoints: None,
             wire_codec: "raw".to_string(),
-            wire_quant: None,
-            wire_topk: None,
             tree_depth: 0,
             tree_fanout: 8,
             client_sample_fraction: 1.0,
@@ -213,62 +205,6 @@ impl Default for RuntimeConfig {
             fedprox_mu: None,
             personalize_epochs: 0,
         }
-    }
-}
-
-impl RuntimeConfig {
-    /// Resolves the `wire_codec`/`wire_quant`/`wire_topk` knobs into one
-    /// codec spec: the base string is parsed, then the quantizer and
-    /// top-k overrides (CLI conveniences) are composed onto it.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message for unparseable specs or out-of-range
-    /// overrides.
-    pub fn wire_spec(&self) -> Result<clinfl_flare::codec::CodecSpec, String> {
-        use clinfl_flare::codec::{CodecSpec, QuantMode};
-        let mut spec = CodecSpec::parse(&self.wire_codec)?;
-        if let Some(q) = &self.wire_quant {
-            spec.quant = match q.to_ascii_lowercase().as_str() {
-                "f32" | "raw" => QuantMode::F32,
-                "f16" => QuantMode::F16,
-                "int8" => QuantMode::Int8,
-                other => return Err(format!("unknown wire_quant {other:?}")),
-            };
-        }
-        if let Some(f) = self.wire_topk {
-            if !(f > 0.0 && f <= 1.0) {
-                return Err(format!("wire_topk {f} outside (0, 1]"));
-            }
-            spec.topk_permille = Some(((f * 1000.0).round() as u16).clamp(1, 1000));
-        }
-        Ok(spec)
-    }
-
-    /// Resolves the DP-SGD knobs: `Ok(None)` when DP is off (`dp_clip`
-    /// unset), `Ok(Some((clip, sigma)))` when on and in range.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when `dp_clip`, `dp_sigma`, or `dp_delta`
-    /// is out of range.
-    pub fn dp_params(&self) -> Result<Option<(f32, f32)>, String> {
-        let Some(clip) = self.dp_clip else {
-            return Ok(None);
-        };
-        if !(clip > 0.0 && clip.is_finite()) {
-            return Err(format!("dp_clip {clip} must be a positive finite norm"));
-        }
-        if !(self.dp_sigma > 0.0 && self.dp_sigma.is_finite()) {
-            return Err(format!(
-                "dp_sigma {} must be a positive finite noise multiplier",
-                self.dp_sigma
-            ));
-        }
-        if !(self.dp_delta > 0.0 && self.dp_delta < 1.0) {
-            return Err(format!("dp_delta {} must be in (0, 1)", self.dp_delta));
-        }
-        Ok(Some((clip, self.dp_sigma)))
     }
 }
 
@@ -331,11 +267,400 @@ impl PipelineConfig {
         );
         clinfl_data::SitePartitioner::paper_imbalanced()
     }
+}
 
-    /// A balanced partitioner over `n_clients`.
-    pub fn balanced_partitioner(&self) -> clinfl_data::SitePartitioner {
-        clinfl_data::SitePartitioner::Balanced {
-            n_sites: self.n_clients,
+/// How the training cohort is split across the sites.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Partition {
+    /// The paper's 8-site 29%..2% split (§IV-B1).
+    Imbalanced,
+    /// Equal shares.
+    Balanced,
+    /// Quantity skew drawn from a symmetric Dirichlet(α).
+    Dirichlet(f64),
+    /// Label skew with this bias in `[0, 1]`. No key value selects it;
+    /// the aggregator ablation sets it in code.
+    LabelSkew(f64),
+}
+
+/// Every key of the run table, in documentation order. `clinfl
+/// federated` spells each as a flag (`--min-clients 4`), a job as a line
+/// (`min_clients = 4`). A job may not set the last seven: personalization
+/// and ε accounting are post-run steps of `clinfl federated`, and the
+/// serve host gives every job its own checkpoint directory.
+pub const RUN_KEYS: [&str; 22] = [
+    "name",
+    "model",
+    "seed",
+    "rounds",
+    "clients",
+    "min_clients",
+    "timeout_s",
+    "validate",
+    "aggregator",
+    "partition",
+    "wire_codec",
+    "tree_depth",
+    "tree_fanout",
+    "sample_fraction",
+    "fedprox_mu",
+    "dp_clip",
+    "dp_sigma",
+    "dp_delta",
+    "personalize_epochs",
+    "checkpoint_dir",
+    "resume",
+    "retain",
+];
+
+/// How many keys at the end of [`RUN_KEYS`] a job may not set.
+const JOB_EXCLUDED: usize = 7;
+
+/// Bounds on what untrusted job text may ask for: every site is a
+/// thread, and deadlines and tree depth feed `Instant` arithmetic and
+/// recursion.
+const MAX_CLIENTS: usize = 1024;
+const MAX_TIMEOUT: Duration = Duration::from_secs(7 * 24 * 3600);
+const MAX_TREE_DEPTH: u32 = 16;
+
+/// Why [`RunSpec::validate`] refused a spec: the message and the keys it
+/// concerns. A parser points the error at the first of them its input
+/// set.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SpecError {
+    /// The keys involved, most specific first.
+    pub keys: &'static [&'static str],
+    /// What is wrong.
+    pub msg: String,
+}
+
+/// One federated run, described the same way by `clinfl federated`
+/// flags and by a job submitted to `clinfl serve`: both apply
+/// [`RunSpec::set`] over a host-supplied base, then
+/// [`RunSpec::validate`].
+#[derive(Clone, Debug)]
+pub struct RunSpec {
+    /// Run name (job listings, checkpoint subdirectories).
+    pub name: String,
+    /// Architecture to train.
+    pub model: ModelSpec,
+    /// Site split of the training cohort.
+    pub partition: Partition,
+    /// Server aggregation rule.
+    pub aggregator: clinfl_flare::job::AggregatorKind,
+    /// Validate the global model on every site after each round (this
+    /// also keeps unsampled sites alive).
+    pub validate: bool,
+    /// Data, training and runtime settings.
+    pub pipeline: PipelineConfig,
+}
+
+impl RunSpec {
+    /// A run of `pipeline`: named `run`, the LSTM, weighted FedAvg and
+    /// per-round validation.
+    pub fn new(pipeline: PipelineConfig, partition: Partition) -> Self {
+        RunSpec {
+            name: "run".to_string(),
+            model: ModelSpec::Lstm,
+            partition,
+            aggregator: clinfl_flare::job::AggregatorKind::WeightedFedAvg,
+            validate: true,
+            pipeline,
+        }
+    }
+
+    /// Sets one key of [`RUN_KEYS`] from its text value. `seed` seeds
+    /// training and cohort generation; `resume` names the checkpoint
+    /// directory to continue from.
+    ///
+    /// # Errors
+    ///
+    /// A message for an unknown key or an unparseable value.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let bad = || format!("invalid {key}: {value:?}");
+        fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+            value
+                .parse()
+                .map_err(|_| format!("invalid {key}: {value:?}"))
+        }
+        let p = &mut self.pipeline;
+        let rt = &mut p.runtime;
+        match key {
+            "name" => self.name = value.to_string(),
+            "model" => {
+                self.model = match value {
+                    "lstm" => ModelSpec::Lstm,
+                    "bert" => ModelSpec::Bert,
+                    "bert-mini" | "bert_mini" => ModelSpec::BertMini,
+                    _ => return Err(format!("{} (expected lstm, bert, bert-mini)", bad())),
+                }
+            }
+            "seed" => {
+                p.seed = num(key, value)?;
+                p.cohort.seed = p.seed;
+            }
+            "rounds" => p.rounds = num(key, value)?,
+            "clients" => p.n_clients = num(key, value)?,
+            "min_clients" => rt.min_clients = num(key, value)?,
+            "timeout_s" => rt.round_timeout = Duration::from_secs(num(key, value)?),
+            "validate" => {
+                self.validate = match value {
+                    "true" | "yes" | "1" => true,
+                    "false" | "no" | "0" => false,
+                    _ => return Err(bad()),
+                }
+            }
+            "aggregator" => self.aggregator = clinfl_flare::job::AggregatorKind::parse(value)?,
+            "partition" => {
+                let alpha = value.strip_prefix("dirichlet:").map(str::parse);
+                self.partition = match (value, alpha) {
+                    ("imbalanced", _) => Partition::Imbalanced,
+                    ("balanced", _) => Partition::Balanced,
+                    (_, Some(Ok(alpha))) => Partition::Dirichlet(alpha),
+                    _ => {
+                        return Err(format!(
+                            "{} (expected imbalanced, balanced or dirichlet:<alpha>)",
+                            bad()
+                        ))
+                    }
+                }
+            }
+            "wire_codec" => rt.wire_codec = value.to_string(),
+            "tree_depth" => rt.tree_depth = num(key, value)?,
+            "tree_fanout" => rt.tree_fanout = num(key, value)?,
+            "sample_fraction" => rt.client_sample_fraction = num(key, value)?,
+            "fedprox_mu" => rt.fedprox_mu = Some(num(key, value)?),
+            "dp_clip" => rt.dp_clip = Some(num(key, value)?),
+            "dp_sigma" => rt.dp_sigma = num(key, value)?,
+            "dp_delta" => rt.dp_delta = num(key, value)?,
+            "personalize_epochs" => rt.personalize_epochs = num(key, value)?,
+            "checkpoint_dir" => rt.checkpoint_dir = Some(value.into()),
+            "resume" => {
+                rt.checkpoint_dir = Some(value.into());
+                rt.resume = true;
+            }
+            "retain" => rt.retain_checkpoints = Some(num(key, value)?),
+            other => return Err(format!("unknown key {other:?}")),
+        }
+        Ok(())
+    }
+
+    /// Refuses every combination the federation builder cannot run as
+    /// written, instead of letting it panic or quietly run something
+    /// else.
+    ///
+    /// # Errors
+    ///
+    /// The first problem found, with the keys it concerns.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        use clinfl_flare::job::AggregatorKind;
+        macro_rules! ensure {
+            ($ok:expr, $keys:expr, $($msg:tt)+) => {
+                // `match`, not `if !`: a NaN must fail a `> 0.0` check.
+                match $ok {
+                    true => {}
+                    false => return Err(SpecError { keys: &$keys, msg: format!($($msg)+) }),
+                }
+            };
+        }
+        let (p, rt) = (&self.pipeline, &self.pipeline.runtime);
+        let (n, name, sampling) = (p.n_clients, &self.name, rt.client_sample_fraction < 1.0);
+        ensure!(p.rounds >= 1, ["rounds"], "rounds must be at least 1");
+        ensure!(
+            (1..=MAX_CLIENTS).contains(&n),
+            ["clients"],
+            "clients must be 1..={MAX_CLIENTS}, got {n}"
+        );
+        ensure!(
+            (1..=64).contains(&name.len())
+                && !name.starts_with('.')
+                && name
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c)),
+            ["name"],
+            "name {name:?} must be 1-64 characters of [A-Za-z0-9._-], not starting with '.'"
+        );
+        let timeout = rt.round_timeout;
+        ensure!(
+            !timeout.is_zero() && timeout <= MAX_TIMEOUT,
+            ["timeout_s"],
+            "timeout_s must be 1..={}, got {}",
+            MAX_TIMEOUT.as_secs(),
+            timeout.as_secs()
+        );
+        ensure!(
+            (1..=n).contains(&rt.min_clients),
+            ["min_clients", "clients"],
+            "min_clients {} must be between 1 and clients ({n})",
+            rt.min_clients
+        );
+        ensure!(
+            self.partition != Partition::Imbalanced || n == 8,
+            ["partition", "clients"],
+            "partition imbalanced is the paper's 8-site split; for {n} clients use balanced or dirichlet:<alpha>"
+        );
+        let in_range = match self.partition {
+            Partition::Dirichlet(alpha) => alpha > 0.0 && alpha.is_finite(),
+            Partition::LabelSkew(bias) => (0.0..=1.0).contains(&bias),
+            Partition::Imbalanced | Partition::Balanced => true,
+        };
+        ensure!(
+            in_range,
+            ["partition"],
+            "partition {:?} is out of range",
+            self.partition
+        );
+        let wire = clinfl_flare::codec::CodecSpec::parse(&rt.wire_codec);
+        ensure!(
+            wire.is_ok(),
+            ["wire_codec"],
+            "invalid wire_codec: {}",
+            wire.clone().unwrap_err()
+        );
+        let tree = rt.tree_depth >= 2;
+        ensure!(
+            rt.tree_depth <= MAX_TREE_DEPTH,
+            ["tree_depth"],
+            "tree_depth must be at most {MAX_TREE_DEPTH}"
+        );
+        ensure!(
+            !tree || rt.tree_fanout >= 2,
+            ["tree_fanout", "tree_depth"],
+            "tree_fanout must be at least 2"
+        );
+        ensure!(
+            !tree || self.aggregator.build().supports_partial(),
+            ["aggregator", "tree_depth"],
+            "aggregator {:?} cannot combine partial updates, so it cannot run on a tree",
+            self.aggregator
+        );
+        ensure!(
+            rt.client_sample_fraction > 0.0,
+            ["sample_fraction"],
+            "sample_fraction must be positive, got {}",
+            rt.client_sample_fraction
+        );
+        ensure!(
+            !(sampling && tree),
+            ["sample_fraction", "tree_depth"],
+            "sampling cannot run on an aggregation tree (the relays' shards would change every round)"
+        );
+        ensure!(
+            !sampling || self.validate,
+            ["validate", "sample_fraction"],
+            "sampling needs validate = true: the validation broadcast keeps unsampled sites alive"
+        );
+        ensure!(
+            self.aggregator != AggregatorKind::MaskedSum
+                || !sampling && wire.is_ok_and(|w| w.is_lossless()),
+            ["aggregator", "sample_fraction", "wire_codec"],
+            "masked_sum needs every site every round and a lossless wire codec, or the masks do not cancel"
+        );
+        let mu = rt.fedprox_mu.unwrap_or(0.0);
+        ensure!(
+            mu >= 0.0 && mu.is_finite(),
+            ["fedprox_mu"],
+            "fedprox_mu must be >= 0, got {mu}"
+        );
+        if let Some(clip) = rt.dp_clip {
+            let (sigma, delta) = (rt.dp_sigma, rt.dp_delta);
+            ensure!(
+                clip > 0.0 && clip.is_finite(),
+                ["dp_clip"],
+                "dp_clip {clip} must be a positive finite norm"
+            );
+            ensure!(
+                sigma > 0.0 && sigma.is_finite(),
+                ["dp_sigma", "dp_clip"],
+                "dp_sigma {sigma} must be positive"
+            );
+            ensure!(
+                delta > 0.0 && delta < 1.0,
+                ["dp_delta", "dp_clip"],
+                "dp_delta {delta} must be in (0, 1)"
+            );
+        }
+        ensure!(
+            rt.retain_checkpoints != Some(0),
+            ["retain"],
+            "retain must keep at least 1 snapshot"
+        );
+        Ok(())
+    }
+
+    /// Applies job text over this base, refusing the driver-only keys
+    /// (personalization, DP accounting, checkpoint placement), and
+    /// validates the result.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending line.
+    pub fn parse_job(self, text: &str) -> Result<RunSpec, String> {
+        self.parse_text(text, &RUN_KEYS[RUN_KEYS.len() - JOB_EXCLUDED..])
+    }
+
+    /// Applies `key = value` text over this base, refusing the keys in
+    /// `excluded`, and validates the result.
+    fn parse_text(mut self, text: &str, excluded: &[&str]) -> Result<RunSpec, String> {
+        let lines = clinfl_flare::job::read_lines(text, |key, value| {
+            if excluded.contains(&key) {
+                return Err(format!("{key} cannot be set in a job"));
+            }
+            self.set(key, value)
+        })?;
+        self.located(|key| lines.get(key).map(|line| format!("line {line}")))
+    }
+
+    /// Applies `--some-key value` pairs over this base (each one is
+    /// `set("some_key", value)`) and validates the result.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending flag.
+    pub fn parse_args(mut self, args: impl IntoIterator<Item = String>) -> Result<RunSpec, String> {
+        let mut seen = std::collections::BTreeSet::new();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let key = flag
+                .strip_prefix("--")
+                .unwrap_or_default()
+                .replace('-', "_");
+            if !RUN_KEYS.contains(&key.as_str()) {
+                return Err(format!("{flag}: unknown key {key:?}"));
+            }
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            if !seen.insert(key.clone()) {
+                return Err(format!("{flag} given twice"));
+            }
+            self.set(&key, &value).map_err(|e| format!("{flag}: {e}"))?;
+        }
+        self.located(|key| {
+            seen.contains(key)
+                .then(|| format!("--{}", key.replace('_', "-")))
+        })
+    }
+
+    /// Validates, pointing an error at the first of its keys `place`
+    /// can locate in the parser's input.
+    fn located(self, place: impl Fn(&str) -> Option<String>) -> Result<RunSpec, String> {
+        match self.validate() {
+            Ok(()) => Ok(self),
+            Err(e) => Err(match e.keys.iter().find_map(|k| place(k)) {
+                Some(at) => format!("{at}: {}", e.msg),
+                None => e.msg,
+            }),
+        }
+    }
+
+    /// The partitioner [`Partition`] names for this run's site count.
+    pub fn partitioner(&self) -> clinfl_data::SitePartitioner {
+        use clinfl_data::SitePartitioner;
+        let n_sites = self.pipeline.n_clients;
+        match self.partition {
+            Partition::Imbalanced => self.pipeline.imbalanced_partitioner(),
+            Partition::Balanced => SitePartitioner::Balanced { n_sites },
+            Partition::Dirichlet(alpha) => SitePartitioner::Dirichlet { n_sites, alpha },
+            Partition::LabelSkew(bias) => SitePartitioner::LabelSkew { n_sites, bias },
         }
     }
 }
@@ -372,17 +697,146 @@ mod tests {
         );
     }
 
+    fn base() -> RunSpec {
+        RunSpec::new(PipelineConfig::scaled(16), Partition::Balanced)
+    }
+
+    fn text(s: &str) -> Result<RunSpec, String> {
+        base().parse_text(s, &[])
+    }
+
+    fn argv(s: &str) -> Result<RunSpec, String> {
+        base().parse_args(s.split_whitespace().map(String::from))
+    }
+
     #[test]
-    fn dp_params_validate() {
-        let mut rt = RuntimeConfig::default();
-        assert_eq!(rt.dp_params(), Ok(None));
-        rt.dp_clip = Some(1.0);
-        assert_eq!(rt.dp_params(), Ok(Some((1.0, 1.0))));
-        rt.dp_sigma = 0.0;
-        assert!(rt.dp_params().is_err());
-        rt.dp_sigma = 1.0;
-        rt.dp_delta = 1.0;
-        assert!(rt.dp_params().is_err());
+    fn every_key_reads_the_same_from_text_and_argv() {
+        let samples = [
+            ("name", "alpha"),
+            ("model", "bert"),
+            ("seed", "7"),
+            ("rounds", "3"),
+            ("clients", "4"),
+            ("min_clients", "2"),
+            ("timeout_s", "60"),
+            ("validate", "false"),
+            ("aggregator", "median"),
+            ("partition", "dirichlet:0.3"),
+            ("wire_codec", "delta+int8"),
+            ("tree_depth", "2"),
+            ("tree_fanout", "4"),
+            ("sample_fraction", "0.5"),
+            ("fedprox_mu", "0.01"),
+            ("dp_clip", "1.5"),
+            ("dp_sigma", "0.8"),
+            ("dp_delta", "0.001"),
+            ("personalize_epochs", "2"),
+            ("checkpoint_dir", "runs/a"),
+            ("resume", "runs/b"),
+            ("retain", "3"),
+        ];
+        assert_eq!(
+            samples.map(|(k, _)| k),
+            RUN_KEYS,
+            "one sample per key, in order"
+        );
+        let unchanged = format!("{:?}", base());
+        for (key, value) in samples {
+            let from_text = text(&format!("{key} = {value}")).unwrap();
+            let from_argv = argv(&format!("--{} {value}", key.replace('_', "-"))).unwrap();
+            let shown = format!("{from_text:?}");
+            assert_eq!(shown, format!("{from_argv:?}"), "key {key}");
+            assert_ne!(shown, unchanged, "key {key} changed nothing");
+        }
+        assert!(text("bogus = 1")
+            .unwrap_err()
+            .contains("line 1: unknown key"));
+        assert!(argv("--bogus 1")
+            .unwrap_err()
+            .starts_with("--bogus: unknown key"));
+    }
+
+    #[test]
+    fn seed_key_reseeds_training_and_the_cohort() {
+        for spec in [text("seed = 7").unwrap(), argv("--seed 7").unwrap()] {
+            assert_eq!(spec.pipeline.seed, 7);
+            assert_eq!(spec.pipeline.cohort.seed, 7);
+        }
+        let job = base().parse_job("seed = 7").unwrap();
+        assert_eq!(job.pipeline.cohort.seed, 7);
+    }
+
+    #[test]
+    fn errors_point_at_the_line_or_flag() {
+        let imbalanced = RunSpec::new(PipelineConfig::scaled(16), Partition::Imbalanced);
+        let err = imbalanced
+            .clone()
+            .parse_args(["--clients".to_string(), "4".to_string()])
+            .unwrap_err();
+        assert!(err.starts_with("--clients: partition imbalanced"), "{err}");
+        let err = text("name = a\nclients = 4\npartition = imbalanced\n").unwrap_err();
+        assert!(err.starts_with("line 3: partition imbalanced"), "{err}");
+        let err = text("rounds = 2\nsample_fraction = 0\n").unwrap_err();
+        assert!(err.starts_with("line 2: sample_fraction"), "{err}");
+        assert!(argv("--partition dirichlet:0")
+            .unwrap_err()
+            .starts_with("--partition:"));
+        assert!(argv("--partition dirichlet")
+            .unwrap_err()
+            .starts_with("--partition:"));
+    }
+
+    #[test]
+    fn jobs_refuse_driver_only_keys() {
+        for key in &RUN_KEYS[RUN_KEYS.len() - JOB_EXCLUDED..] {
+            let err = base()
+                .parse_job(&format!("rounds = 2\n{key} = 1\n"))
+                .unwrap_err();
+            assert!(
+                err.starts_with(&format!("line 2: {key} cannot be set in a job")),
+                "{err}"
+            );
+        }
+        assert!(base().parse_text("dp_clip = 1", &[]).is_ok());
+    }
+
+    #[test]
+    fn impossible_combinations_are_rejected() {
+        for bad in [
+            "rounds = 0",
+            "clients = 0",
+            "clients = 100000",
+            "min_clients = 9",
+            "min_clients = 0",
+            "timeout_s = 0",
+            "timeout_s = 18446744073709551615",
+            "name = ../escape",
+            "name = ",
+            "partition = dirichlet:-1",
+            "partition = dirichlet:NaN",
+            "wire_codec = delta+bogus",
+            "tree_depth = 100",
+            "tree_depth = 2\ntree_fanout = 1",
+            "tree_depth = 2\naggregator = median",
+            "sample_fraction = NaN",
+            "sample_fraction = 0.5\nvalidate = false",
+            "sample_fraction = 0.5\ntree_depth = 2",
+            "aggregator = masked_sum\nsample_fraction = 0.5",
+            "aggregator = masked_sum\nwire_codec = int8",
+            "fedprox_mu = -1",
+            "dp_clip = -1",
+            "dp_clip = 1\ndp_sigma = 0",
+            "dp_clip = 1\ndp_delta = 1",
+            "retain = 0",
+        ] {
+            let err = text(bad).expect_err(bad);
+            assert!(err.starts_with("line "), "{bad:?}: {err}");
+        }
+        for bad in ["--rounds", "rounds 3", "--rounds 2 --rounds 3"] {
+            assert!(argv(bad).is_err(), "{bad:?}");
+        }
+        assert!(text("aggregator = masked_sum\nwire_codec = delta").is_ok());
+        assert!(text("dp_clip = 1\ndp_sigma = 0.5\ndp_delta = 0.01").is_ok());
     }
 
     #[test]

@@ -1,20 +1,24 @@
 //! Training drivers for the paper's three schemes (centralized /
 //! standalone / federated) and the four MLM pretraining regimes.
 
-use crate::config::{ModelSpec, PipelineConfig, TrainHyper};
+use crate::config::{ModelSpec, PipelineConfig, RunSpec, TrainHyper};
 use crate::executor::{ClinicalExecutor, MlmExecutor};
 use crate::learner::{Learner, MlmLearner};
 use clinfl_data::{generate_cohort, generate_corpus, ClassifyDataset, CodeSystem, SitePartitioner};
 use clinfl_flare::aggregator::WeightedFedAvg;
+use clinfl_flare::codec::CodecSpec;
 use clinfl_flare::controller::SagConfig;
-use clinfl_flare::filters::{DpGaussian, FilterChain};
+use clinfl_flare::filters::{DpGaussian, FilterChain, SecureAggMask};
+use clinfl_flare::job::AggregatorKind;
+use clinfl_flare::jobs::{ExecutorFactory, FilterFactory, JobSpec};
 use clinfl_flare::privacy::DpAccountant;
 use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner, TreeConfig};
-use clinfl_flare::{EventLog, FlareError};
+use clinfl_flare::{EventLog, FlareError, Weights};
 use clinfl_models::BertConfig;
 use clinfl_tensor::LrSchedule;
 use clinfl_text::{ClinicalTokenizer, Encoded};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Tokenized data for the fine-tuning task.
 #[derive(Clone, Debug)]
@@ -51,6 +55,8 @@ pub struct TrainOutcome {
     pub accuracy: f64,
     /// Per-epoch (or per-round) `(train_loss, valid_acc)` history.
     pub history: Vec<(f64, f64)>,
+    /// The trained (for federated runs: the final global) weights.
+    pub final_weights: Weights,
     /// The run's event log (federated runs only).
     pub log: Option<EventLog>,
     /// Per-site accuracy after post-FL personalization (each site
@@ -96,6 +102,7 @@ fn centralized_on(
     TrainOutcome {
         accuracy: learner.evaluate(valid),
         history,
+        final_weights: learner.export_weights(),
         log: None,
         personalized_per_site: Vec::new(),
         personalized_mean: None,
@@ -145,10 +152,8 @@ pub fn train_standalone(cfg: &PipelineConfig, spec: ModelSpec) -> StandaloneOutc
 }
 
 fn simulator_config(cfg: &PipelineConfig) -> Result<SimulatorConfig, FlareError> {
-    let wire = cfg
-        .runtime
-        .wire_spec()
-        .map_err(|e| FlareError::Codec(format!("bad wire codec config: {e}")))?;
+    let wire = CodecSpec::parse(&cfg.runtime.wire_codec)
+        .map_err(|e| FlareError::Config(format!("invalid wire_codec: {e}")))?;
     Ok(SimulatorConfig {
         n_clients: cfg.n_clients,
         sag: SagConfig {
@@ -170,11 +175,83 @@ fn simulator_config(cfg: &PipelineConfig) -> Result<SimulatorConfig, FlareError>
         wire,
         wire_overrides: BTreeMap::new(),
         server_codecs_enabled: true,
-        tree: (cfg.runtime.tree_depth >= 2).then(|| TreeConfig {
+        tree: (cfg.runtime.tree_depth >= 1).then(|| TreeConfig {
             depth: cfg.runtime.tree_depth,
             fanout: cfg.runtime.tree_fanout.max(2),
         }),
     })
+}
+
+/// The one clinical-federation builder behind `clinfl federated`, the
+/// benches and `clinfl serve` jobs: the cohort split by `partitioner`,
+/// simulator settings, per-site executors (FedProx included) and
+/// per-site outgoing filters (DP noise, and the pairwise masks
+/// `masked_sum` needs to cancel). Also returns the data and shards the
+/// driver's post-run steps use.
+fn federation(
+    cfg: &PipelineConfig,
+    model: ModelSpec,
+    partitioner: &SitePartitioner,
+    aggregator: AggregatorKind,
+    validate: bool,
+    log: &EventLog,
+) -> Result<(JobSpec, TaskData, Arc<Vec<ClassifyDataset>>), FlareError> {
+    let data = build_task_data(cfg);
+    let shards = Arc::new(partitioner.partition(&data.train, cfg.seed ^ 0xA17));
+    let hyper = TrainHyper::for_model(model);
+    let vocab_size = data.code_system.vocab().len();
+    let (seed, seq_len, local_epochs) = (cfg.seed, cfg.seq_len, cfg.local_epochs);
+    let initial = Learner::new(model, vocab_size, seq_len, hyper, seed).export_weights();
+    let mut config = simulator_config(cfg)?;
+    config.sag.validate_global = validate;
+    let (site_shards, valid, log) = (shards.clone(), data.valid.clone(), log.clone());
+    let prox = cfg.runtime.fedprox_mu;
+    let make_executor: ExecutorFactory = Box::new(move |i, _site| {
+        let learner = Learner::new(model, vocab_size, seq_len, hyper, seed);
+        let mut executor = ClinicalExecutor::new(
+            learner,
+            site_shards[i].clone(),
+            valid.clone(),
+            local_epochs,
+            log.clone(),
+        );
+        if let Some(mu) = prox {
+            executor = executor.with_prox(mu);
+        }
+        Box::new(executor)
+    });
+    let dp = cfg.runtime.dp_clip.map(|clip| (clip, cfg.runtime.dp_sigma));
+    let n_sites = cfg.n_clients;
+    let make_filters: FilterFactory = Box::new(move |i| {
+        // With DP on, every site's outgoing update is clipped and noised
+        // before it leaves the client — the server only ever sees the
+        // privatized delta.
+        let mut chain = FilterChain::new();
+        if let Some((clip, sigma)) = dp {
+            chain.push(Box::new(DpGaussian {
+                clip_norm: clip,
+                sigma,
+                seed: seed ^ (i as u64 + 1).wrapping_mul(0xD1FF),
+            }));
+        }
+        if aggregator == AggregatorKind::MaskedSum {
+            chain.push(Box::new(SecureAggMask {
+                site_index: i,
+                n_sites,
+                session_seed: seed,
+            }));
+        }
+        chain
+    });
+    let job = JobSpec {
+        name: "run".to_string(),
+        config,
+        aggregator,
+        initial,
+        make_executor,
+        make_filters,
+    };
+    Ok((job, data, shards))
 }
 
 /// Federated training over the paper's 8-site imbalanced partition using
@@ -187,8 +264,8 @@ pub fn train_federated(cfg: &PipelineConfig, spec: ModelSpec) -> Result<TrainOut
     train_federated_with(cfg, spec, &cfg.imbalanced_partitioner(), EventLog::new())
 }
 
-/// Federated training with an explicit partitioner and log (used by the
-/// benches for the balanced-vs-imbalanced ablation and the Fig. 3 demo).
+/// Federated training of `cfg` with an explicit partitioner and log,
+/// weighted FedAvg and per-round validation.
 ///
 /// # Errors
 ///
@@ -199,58 +276,58 @@ pub fn train_federated_with(
     partitioner: &SitePartitioner,
     log: EventLog,
 ) -> Result<TrainOutcome, FlareError> {
-    let data = build_task_data(cfg);
-    let shards = partitioner.partition(&data.train, cfg.seed ^ 0xA17);
+    run_clinical(
+        cfg,
+        spec,
+        partitioner,
+        AggregatorKind::WeightedFedAvg,
+        true,
+        log,
+    )
+}
+
+/// The `clinfl federated` driver: validates `spec`, trains it, then runs
+/// the post-run steps it asks for (DP accounting, personalization).
+///
+/// # Errors
+///
+/// [`FlareError::Config`] for a spec [`RunSpec::validate`] refuses;
+/// otherwise runtime failures from the simulator.
+pub fn train_spec(spec: &RunSpec, log: EventLog) -> Result<TrainOutcome, FlareError> {
+    spec.validate()
+        .map_err(|e| FlareError::Config(format!("{}: {}", e.keys[0], e.msg)))?;
+    run_clinical(
+        &spec.pipeline,
+        spec.model,
+        &spec.partitioner(),
+        spec.aggregator,
+        spec.validate,
+        log,
+    )
+}
+
+fn run_clinical(
+    cfg: &PipelineConfig,
+    spec: ModelSpec,
+    partitioner: &SitePartitioner,
+    aggregator: AggregatorKind,
+    validate: bool,
+    log: EventLog,
+) -> Result<TrainOutcome, FlareError> {
+    let (mut job, data, shards) = federation(cfg, spec, partitioner, aggregator, validate, &log)?;
+    let result = SimulatorRunner::with_log(job.config, log).run(
+        job.initial,
+        &mut job.make_executor,
+        aggregator.build().as_ref(),
+        &mut job.make_filters,
+    )?;
     let hyper = TrainHyper::for_model(spec);
     let vocab_size = data.code_system.vocab().len();
-
-    let dp = cfg
-        .runtime
-        .dp_params()
-        .map_err(|e| FlareError::Codec(format!("bad DP config: {e}")))?;
-
-    let seed_learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, cfg.seed);
-    let initial = seed_learner.export_weights();
-
-    let runner = SimulatorRunner::with_log(simulator_config(cfg)?, log.clone());
-    let valid = data.valid.clone();
-    let result = runner.run(
-        initial,
-        |i, _site| {
-            let learner = Learner::new(spec, vocab_size, cfg.seq_len, hyper, cfg.seed);
-            let mut executor = ClinicalExecutor::new(
-                learner,
-                shards[i].clone(),
-                valid.clone(),
-                cfg.local_epochs,
-                log.clone(),
-            );
-            if let Some(mu) = cfg.runtime.fedprox_mu {
-                executor = executor.with_prox(mu);
-            }
-            Box::new(executor)
-        },
-        &WeightedFedAvg,
-        |i| {
-            // With DP on, every site's outgoing update is clipped and
-            // noised before it leaves the client — the server only ever
-            // sees the privatized delta.
-            let mut chain = FilterChain::new();
-            if let Some((clip, sigma)) = dp {
-                chain.push(Box::new(DpGaussian {
-                    clip_norm: clip,
-                    sigma,
-                    seed: cfg.seed ^ (i as u64 + 1).wrapping_mul(0xD1FF),
-                }));
-            }
-            chain
-        },
-    )?;
 
     // DP accounting: one noised release per completed round, amplified by
     // the effective per-round sampling rate k/n (mirroring
     // `clinfl_flare::controller::sample_sites`' k = ceil(fraction·n)).
-    let privacy = dp.map(|(_clip, sigma)| {
+    let privacy = cfg.runtime.dp_clip.map(|_clip| {
         let n = cfg.n_clients.max(1);
         let fraction = cfg.runtime.client_sample_fraction;
         let q = if fraction >= 1.0 {
@@ -258,7 +335,7 @@ pub fn train_federated_with(
         } else {
             ((fraction.max(0.0) * n as f64).ceil() as usize).clamp(1, n) as f64 / n as f64
         };
-        let mut acc = DpAccountant::new(f64::from(sigma), q, cfg.runtime.dp_delta);
+        let mut acc = DpAccountant::new(f64::from(cfg.runtime.dp_sigma), q, cfg.runtime.dp_delta);
         for _ in &result.workflow.rounds {
             acc.step();
         }
@@ -325,6 +402,7 @@ pub fn train_federated_with(
     Ok(TrainOutcome {
         accuracy,
         history,
+        final_weights: result.workflow.final_weights,
         log: Some(result.log),
         personalized_per_site,
         personalized_mean,
@@ -336,71 +414,34 @@ pub fn train_federated_with(
 // Serve mode (multi-tenant job runtime)
 // ---------------------------------------------------------------------
 
-/// Builds the job factory behind `clinfl serve`: each submitted
-/// [`clinfl_flare::job::JobConfig`] becomes a private clinical
-/// federation at `base`'s scale. The config's `model` key picks the
-/// architecture (`lstm` / `bert` / `bert-mini`, default `lstm`),
-/// `clients` sizes a balanced partition, and `seed` (if set) re-seeds
-/// data generation and training so two same-seed jobs are bit-identical.
-/// With `checkpoint_root`, every job persists into its own
-/// `job-<n>-<name>` subdirectory — never a shared one, which the
-/// persistor's lock file would refuse anyway.
+/// Builds the job factory behind `clinfl serve`: each submitted job text
+/// is parsed over `base` with [`RunSpec::parse_job`] and becomes a
+/// private clinical federation built exactly as `clinfl federated`
+/// builds one, so the same keys mean the same run. With
+/// `checkpoint_root`, every job persists into its own `job-<n>-<name>`
+/// subdirectory — never a shared one, which the persistor's lock file
+/// would refuse anyway.
 pub fn serve_job_factory(
-    base: PipelineConfig,
+    base: RunSpec,
     checkpoint_root: Option<std::path::PathBuf>,
 ) -> clinfl_flare::admin::JobFactory {
     let seq = std::sync::atomic::AtomicU64::new(1);
-    Box::new(move |config: clinfl_flare::job::JobConfig| {
-        let model = match config.model.as_deref() {
-            None | Some("lstm") => ModelSpec::Lstm,
-            Some("bert") => ModelSpec::Bert,
-            Some("bert-mini") | Some("bert_mini") => ModelSpec::BertMini,
-            Some(other) => {
-                return Err(FlareError::Codec(format!(
-                    "unknown model {other:?} (expected lstm, bert, bert-mini)"
-                )))
-            }
-        };
-        let mut cfg = base.clone();
-        cfg.n_clients = config.clients;
-        cfg.rounds = config.rounds;
-        if let Some(seed) = config.seed {
-            cfg.seed = seed;
-        }
-        let data = build_task_data(&cfg);
-        let shards = cfg
-            .balanced_partitioner()
-            .partition(&data.train, cfg.seed ^ 0xA17);
-        let hyper = TrainHyper::for_model(model);
-        let vocab_size = data.code_system.vocab().len();
-        let initial =
-            Learner::new(model, vocab_size, cfg.seq_len, hyper, cfg.seed).export_weights();
-        let valid = data.valid;
-        let log = EventLog::new();
-        let (seed, seq_len, local_epochs) = (cfg.seed, cfg.seq_len, cfg.local_epochs);
-        let checkpoint_dir = checkpoint_root.as_ref().map(|root| {
-            root.join(format!(
-                "job-{}-{}",
-                seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                config.name
-            ))
+    Box::new(move |text: &str| {
+        let spec = base.clone().parse_job(text).map_err(FlareError::Config)?;
+        let (mut job, _, _) = federation(
+            &spec.pipeline,
+            spec.model,
+            &spec.partitioner(),
+            spec.aggregator,
+            spec.validate,
+            &EventLog::new(),
+        )?;
+        job.config.checkpoint_dir = checkpoint_root.as_ref().map(|root| {
+            let n = seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            root.join(format!("job-{n}-{}", spec.name))
         });
-        Ok(clinfl_flare::jobs::JobSpec {
-            seed,
-            initial,
-            make_executor: Box::new(move |i, _site| {
-                let learner = Learner::new(model, vocab_size, seq_len, hyper, seed);
-                Box::new(ClinicalExecutor::new(
-                    learner,
-                    shards[i % shards.len()].clone(),
-                    valid.clone(),
-                    local_epochs,
-                    log.clone(),
-                ))
-            }),
-            checkpoint_dir,
-            config,
-        })
+        job.name = spec.name;
+        Ok(job)
     })
 }
 

@@ -45,7 +45,7 @@ pub mod metrics;
 mod weights;
 
 pub use clinfl_obs as obs;
-pub use config::{ModelSpec, PipelineConfig, TrainHyper};
+pub use config::{ModelSpec, Partition, PipelineConfig, RunSpec, SpecError, TrainHyper, RUN_KEYS};
 pub use executor::{ClinicalExecutor, MlmExecutor};
 pub use learner::{EpochStats, Learner, MlmLearner};
 pub use weights::{params_to_weights, weights_into_params, weights_to_params};

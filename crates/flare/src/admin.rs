@@ -26,7 +26,6 @@
 //! | `GET /jobs/{id}/metrics/stream` | NDJSON snapshots until terminal |
 //! | `GET /metrics` | process-global metrics snapshot |
 
-use crate::job::JobConfig;
 use crate::jobs::{JobInfo, JobRuntime, JobSpec};
 use crate::FlareError;
 use clinfl_obs::json::Value;
@@ -186,10 +185,11 @@ pub enum AdminCommand {
 // HTTP admin endpoint
 // ======================================================================
 
-/// Maps a parsed [`JobConfig`] to a launchable [`JobSpec`]: the host
-/// decides what `model = …` means (executors, initial weights,
-/// checkpoint dirs). Returning an error turns into an HTTP 400.
-pub type JobFactory = Box<dyn Fn(JobConfig) -> Result<JobSpec, FlareError> + Send + Sync>;
+/// Maps a submitted job text (the `POST /jobs` body) to a launchable
+/// [`JobSpec`]: the host owns the key table (see [`crate::job`]) and
+/// decides what each key means. Returning an error turns into an HTTP
+/// 400 carrying its message.
+pub type JobFactory = Box<dyn Fn(&str) -> Result<JobSpec, FlareError> + Send + Sync>;
 
 /// A served admin/metrics API over a [`JobRuntime`].
 ///
@@ -404,11 +404,7 @@ fn handle_connection(
             &Value::object(vec![("ok", Value::Bool(true))]),
         ),
         ("POST", ["jobs"]) => {
-            let config = match JobConfig::parse(&req.body) {
-                Ok(c) => c,
-                Err(e) => return error_response(&mut stream, 400, &e.to_string()),
-            };
-            let spec = match factory(config) {
+            let spec = match factory(&req.body) {
                 Ok(s) => s,
                 Err(e) => return error_response(&mut stream, 400, &e.to_string()),
             };
@@ -552,13 +548,32 @@ mod tests {
     use crate::dxo::{WeightTensor, Weights};
     use crate::executor::ArithmeticExecutor;
 
+    /// Reads `name`, `rounds` and `clients` from the job text.
     fn test_factory() -> JobFactory {
-        Box::new(|config: JobConfig| {
+        Box::new(|text: &str| {
+            let mut name = String::from("job");
+            let mut config = crate::simulator::SimulatorConfig::paper(1);
+            crate::job::read_lines(text, |key, value| {
+                let num = |what: &str| {
+                    value
+                        .parse::<usize>()
+                        .map_err(|_| format!("invalid {what}: {value:?}"))
+                };
+                match key {
+                    "name" => name = value.to_string(),
+                    "rounds" => config.sag.rounds = num(key)? as u32,
+                    "clients" => config.n_clients = num(key)?,
+                    other => return Err(format!("unknown job key {other:?}")),
+                }
+                Ok(())
+            })
+            .map_err(FlareError::Config)?;
             let mut w = Weights::new();
             w.insert("p".into(), WeightTensor::new(vec![2], vec![0.0, 0.0]));
             Ok(JobSpec {
-                seed: config.seed.unwrap_or(1),
+                name,
                 config,
+                aggregator: crate::job::AggregatorKind::WeightedFedAvg,
                 initial: w,
                 make_executor: Box::new(|i, _| {
                     Box::new(ArithmeticExecutor {
@@ -566,7 +581,7 @@ mod tests {
                         n_examples: 10,
                     })
                 }),
-                checkpoint_dir: None,
+                make_filters: Box::new(|_| crate::filters::FilterChain::new()),
             })
         })
     }

@@ -11,8 +11,7 @@
 //!    (`"CFC1"` + CRC-32 of the body). [`read_with_crc`] validates the
 //!    trailer on load, so a torn write can never masquerade as a valid
 //!    checkpoint: either the old file survives intact or the new one is
-//!    complete. Files written before the trailer existed (no `"CFC1"`
-//!    marker) still load.
+//!    complete. A file without the trailer is rejected like a torn one.
 //! 2. **Weights files** — [`save_weights_file`] / [`load_weights_file`]
 //!    move a [`Weights`] map through that format (the `.cfw` files the
 //!    [`crate::persistor::FilePersistor`] writes).
@@ -35,8 +34,8 @@ use std::io::Write;
 use std::path::Path;
 
 /// Schema version written into every [`RunCheckpoint`]; decoding rejects
-/// anything newer. Version 2 added the aggregation-tree topology
-/// (`tree_depth`/`tree_fanout`); version-1 files decode as flat runs.
+/// any other. Version 2 added the aggregation-tree topology
+/// (`tree_depth`/`tree_fanout`).
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Marker that precedes the CRC-32 value in the 8-byte file trailer.
@@ -115,29 +114,30 @@ pub fn atomic_write_with_crc(path: impl AsRef<Path>, body: &[u8]) -> Result<(), 
 }
 
 /// Reads a file written by [`atomic_write_with_crc`], validates the CRC
-/// trailer, and returns the body. Files without the trailer (written
-/// before it existed) are returned whole; their framing is still fully
-/// validated by the caller's decoder.
+/// trailer, and returns the body.
 ///
 /// # Errors
 ///
 /// [`FlareError::Io`] on read failure, [`FlareError::Checkpoint`] on a
-/// CRC mismatch (torn or bit-flipped file).
+/// missing trailer or a CRC mismatch (torn or bit-flipped file).
 pub fn read_with_crc(path: impl AsRef<Path>) -> Result<Vec<u8>, FlareError> {
     let path = path.as_ref();
     let mut buf = std::fs::read(path)?;
     let n = buf.len();
-    if n >= 8 && buf[n - 8..n - 4] == CRC_TRAILER_MAGIC {
-        let stored = u32::from_le_bytes(buf[n - 4..].try_into().expect("4-byte slice"));
-        let computed = crc32(&buf[..n - 8]);
-        if stored != computed {
-            return Err(FlareError::Checkpoint(format!(
-                "CRC mismatch in {path:?}: stored {stored:#010x}, computed {computed:#010x} \
-                 (torn or corrupted write)"
-            )));
-        }
-        buf.truncate(n - 8);
+    if n < 8 || buf[n - 8..n - 4] != CRC_TRAILER_MAGIC {
+        return Err(FlareError::Checkpoint(format!(
+            "missing CRC trailer in {path:?} (torn write or not a checkpoint file)"
+        )));
     }
+    let stored = u32::from_le_bytes(buf[n - 4..].try_into().expect("4-byte slice"));
+    let computed = crc32(&buf[..n - 8]);
+    if stored != computed {
+        return Err(FlareError::Checkpoint(format!(
+            "CRC mismatch in {path:?}: stored {stored:#010x}, computed {computed:#010x} \
+             (torn or corrupted write)"
+        )));
+    }
+    buf.truncate(n - 8);
     Ok(buf)
 }
 
@@ -151,8 +151,7 @@ pub fn save_weights_file(path: impl AsRef<Path>, weights: &Weights) -> Result<()
     atomic_write_with_crc(path, &weights.to_frame())
 }
 
-/// Loads and verifies weights previously written by [`save_weights_file`]
-/// (or by the pre-CRC `std::fs::write` path — legacy files still load).
+/// Loads and verifies weights previously written by [`save_weights_file`].
 ///
 /// # Errors
 ///
@@ -251,35 +250,22 @@ impl WireEncode for RunCheckpoint {
 impl WireDecode for RunCheckpoint {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, FlareError> {
         let version = u32::decode(r)?;
-        if version == 0 || version > CHECKPOINT_SCHEMA_VERSION {
+        if version != CHECKPOINT_SCHEMA_VERSION {
             return Err(FlareError::Checkpoint(format!(
                 "unsupported checkpoint schema version {version} \
-                 (this build reads versions 1..={CHECKPOINT_SCHEMA_VERSION})"
+                 (this build reads version {CHECKPOINT_SCHEMA_VERSION})"
             )));
         }
-        let seed = u64::decode(r)?;
-        let next_round = u32::decode(r)?;
-        let total_rounds = u32::decode(r)?;
-        let global = BTreeMap::decode(r)?;
-        let rounds = Vec::decode(r)?;
-        let best_metric = Option::decode(r)?;
-        let best_round = Option::decode(r)?;
-        // Version-1 checkpoints predate tree aggregation: flat topology.
-        let (tree_depth, tree_fanout) = if version >= 2 {
-            (u32::decode(r)?, u32::decode(r)?)
-        } else {
-            (0, 0)
-        };
         Ok(RunCheckpoint {
-            seed,
-            next_round,
-            total_rounds,
-            global,
-            rounds,
-            best_metric,
-            best_round,
-            tree_depth,
-            tree_fanout,
+            seed: u64::decode(r)?,
+            next_round: u32::decode(r)?,
+            total_rounds: u32::decode(r)?,
+            global: BTreeMap::decode(r)?,
+            rounds: Vec::decode(r)?,
+            best_metric: Option::decode(r)?,
+            best_round: Option::decode(r)?,
+            tree_depth: u32::decode(r)?,
+            tree_fanout: u32::decode(r)?,
         })
     }
 }
@@ -326,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoint_decodes_as_flat_topology() {
+    fn v1_checkpoint_is_rejected() {
         // A hand-built version-1 body: same fields minus the tree pair.
         let ckpt = checkpoint();
         let mut body = crate::wire::FRAME_MAGIC.to_vec();
@@ -338,11 +324,8 @@ mod tests {
         ckpt.rounds.encode(&mut body);
         ckpt.best_metric.encode(&mut body);
         ckpt.best_round.encode(&mut body);
-        let decoded = RunCheckpoint::from_frame(&body).unwrap();
-        assert_eq!(decoded.tree_depth, 0);
-        assert_eq!(decoded.tree_fanout, 0);
-        assert_eq!(decoded.global, ckpt.global);
-        assert_eq!(decoded.next_round, ckpt.next_round);
+        let err = RunCheckpoint::from_frame(&body).unwrap_err();
+        assert!(err.to_string().contains("schema version 1"), "{err}");
     }
 
     #[test]
@@ -366,12 +349,12 @@ mod tests {
         let path = tmp_path("truncated");
         checkpoint().save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        // Cut mid-body: the trailer disappears, so the legacy path tries a
-        // plain frame decode, which must fail loudly.
+        // Cut mid-body: the trailer disappears, which the reader must
+        // refuse before any decoding.
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let err = RunCheckpoint::load(&path).unwrap_err();
         assert!(
-            matches!(err, FlareError::Codec(_) | FlareError::Checkpoint(_)),
+            err.to_string().contains("missing CRC trailer"),
             "unexpected error {err}"
         );
         std::fs::remove_file(&path).ok();
@@ -407,11 +390,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_weights_file_without_trailer_loads() {
-        let path = tmp_path("legacy");
-        let w = weights(4.0);
-        std::fs::write(&path, w.to_frame()).unwrap(); // pre-CRC format
-        assert_eq!(load_weights_file(&path).unwrap(), w);
+    fn weights_file_without_trailer_is_rejected() {
+        let path = tmp_path("no-trailer");
+        std::fs::write(&path, weights(4.0).to_frame()).unwrap();
+        let err = load_weights_file(&path).unwrap_err();
+        assert!(err.to_string().contains("missing CRC trailer"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

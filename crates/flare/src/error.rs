@@ -46,6 +46,9 @@ pub enum FlareError {
     /// version, wrong run seed) — distinct from [`FlareError::Codec`] so
     /// recovery code can report *why* a resume was refused.
     Checkpoint(String),
+    /// A job or run description was rejected (unknown key, bad value,
+    /// or a combination the host cannot run).
+    Config(String),
     /// I/O error (persistence, sockets).
     Io(std::io::Error),
     /// The run was aborted by an operator (admin API or abort flag) —
@@ -75,6 +78,7 @@ impl fmt::Display for FlareError {
                 write!(f, "{op} gave up after {attempts} attempt(s): {last}")
             }
             FlareError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
+            FlareError::Config(msg) => write!(f, "invalid run spec: {msg}"),
             FlareError::Io(e) => write!(f, "i/o error: {e}"),
             FlareError::Aborted => write!(f, "run aborted by operator"),
         }

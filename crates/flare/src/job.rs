@@ -1,12 +1,13 @@
-//! Declarative job configuration (NVFlare's `job.json`/`config_fed_server`
+//! Declarative job text (NVFlare's `job.json`/`config_fed_server`
 //! equivalent).
 //!
 //! NVFlare deployments describe a run — workflow, rounds, aggregator,
-//! filters — in a static config shipped to the server. This module gives
-//! `clinfl-flare` the same operational surface: a typed [`JobConfig`]
-//! parsed from a simple `key = value` text format (no external
-//! serialization crates are available offline), from which the runtime
-//! objects are constructed.
+//! filters — in a static config shipped to the server. Here a job is
+//! plain `key = value` text (no external serialization crates are
+//! available offline). This module owns the line reader and the
+//! aggregation-rule names; the keys themselves belong to the host that
+//! runs the job (`clinfl::RunSpec` for `clinfl serve`), so a job file and
+//! the `clinfl federated` flags share one key table.
 //!
 //! ```text
 //! # adr-finetune.job
@@ -19,9 +20,7 @@
 //! ```
 
 use crate::aggregator::{Aggregator, CoordinateMedian, MaskedSum, TrimmedMean, WeightedFedAvg};
-use crate::controller::SagConfig;
-use crate::FlareError;
-use std::time::Duration;
+use std::collections::BTreeMap;
 
 /// Aggregation rule selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,237 +46,131 @@ impl AggregatorKind {
         }
     }
 
-    fn parse(s: &str) -> Result<Self, FlareError> {
+    /// Parses a rule name (`weighted_fedavg`/`fedavg`,
+    /// `coordinate_median`/`median`, `trimmed_mean`,
+    /// `masked_sum`/`secure_sum`).
+    ///
+    /// # Errors
+    ///
+    /// A message listing the accepted names.
+    pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "weighted_fedavg" | "fedavg" => Ok(AggregatorKind::WeightedFedAvg),
             "coordinate_median" | "median" => Ok(AggregatorKind::CoordinateMedian),
             "trimmed_mean" => Ok(AggregatorKind::TrimmedMean),
             "masked_sum" | "secure_sum" => Ok(AggregatorKind::MaskedSum),
-            other => Err(FlareError::Codec(format!(
+            other => Err(format!(
                 "unknown aggregator {other:?} (expected weighted_fedavg, coordinate_median, trimmed_mean, masked_sum)"
-            ))),
+            )),
         }
     }
 }
 
-/// A parsed federated job description.
-#[derive(Clone, Debug, PartialEq)]
-pub struct JobConfig {
-    /// Job name (for logs and result files).
-    pub name: String,
-    /// ScatterAndGather rounds.
-    pub rounds: u32,
-    /// Minimum client updates per round.
-    pub min_clients: usize,
-    /// Per-round gather deadline.
-    pub round_timeout: Duration,
-    /// Whether to validate the global model each round.
-    pub validate_global: bool,
-    /// Aggregation rule.
-    pub aggregator: AggregatorKind,
-    /// Number of client sites to provision for the job. Hosts without a
-    /// fixed fleet (the job runtime's serve mode) honor this; the
-    /// simulator drives its own `n_clients` instead.
-    pub clients: usize,
-    /// Free-form model selector, interpreted by the host that launches
-    /// the job (`clinfl serve` maps `lstm` / `bert` / `bert-mini`).
-    /// `None` leaves the host's default.
-    pub model: Option<String>,
-    /// Run seed override; `None` leaves the host's default seed.
-    pub seed: Option<u64>,
-}
-
-impl Default for JobConfig {
-    fn default() -> Self {
-        JobConfig {
-            name: "job".to_string(),
-            rounds: 10,
-            min_clients: 1,
-            round_timeout: Duration::from_secs(600),
-            validate_global: true,
-            aggregator: AggregatorKind::WeightedFedAvg,
-            clients: 8,
-            model: None,
-            seed: None,
+/// Reads `key = value` job text, handing each pair to `set` in file
+/// order. Blank lines and `#` comments are skipped. Returns the 1-based
+/// line each key was set on, so a host can point a later validation
+/// error at the line that caused it.
+///
+/// ```
+/// use clinfl_flare::job::read_lines;
+/// let mut rounds = 0u32;
+/// let lines = read_lines("# demo\nrounds = 5\n", |key, value| match key {
+///     "rounds" => value.parse().map(|v| rounds = v).map_err(|_| "invalid rounds".into()),
+///     other => Err(format!("unknown key {other:?}")),
+/// })?;
+/// assert_eq!((rounds, lines["rounds"]), (5, 2));
+/// # Ok::<(), String>(())
+/// ```
+///
+/// # Errors
+///
+/// A line-numbered message on a malformed line, a duplicated key (it
+/// would silently shadow the earlier value — in a config that gates a
+/// multi-hour run, that must fail loudly instead), or any error `set`
+/// returns (unknown key, invalid value).
+pub fn read_lines(
+    text: &str,
+    mut set: impl FnMut(&str, &str) -> Result<(), String>,
+) -> Result<BTreeMap<String, usize>, String> {
+    let mut seen = BTreeMap::new();
+    for (lineno, raw) in (1..).zip(text.lines()) {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
         }
+        let at = |msg: String| format!("line {lineno}: {msg}");
+        let Some((key, value)) = line.split_once('=') else {
+            return Err(at(format!("expected `key = value`, got {line:?}")));
+        };
+        let (key, value) = (key.trim(), value.trim());
+        if let Some(first) = seen.insert(key.to_string(), lineno) {
+            return Err(at(format!(
+                "duplicate job key {key:?} (first set on line {first})"
+            )));
+        }
+        set(key, value).map_err(at)?;
     }
-}
-
-impl JobConfig {
-    /// Parses the `key = value` job format. Unknown keys are rejected
-    /// (config typos must fail loudly, not silently fall back to
-    /// defaults); blank lines and `#` comments are ignored.
-    ///
-    /// ```
-    /// use clinfl_flare::job::JobConfig;
-    /// let job = JobConfig::parse("rounds = 5\nmin_clients = 8\n")?;
-    /// assert_eq!(job.sag_config().rounds, 5);
-    /// # Ok::<(), clinfl_flare::FlareError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`FlareError::Codec`] with a line-numbered message on any
-    /// malformed, unknown, or duplicated entry (a duplicate key would
-    /// silently shadow the earlier value — in a config that gates a
-    /// multi-hour run, that must fail loudly instead).
-    pub fn parse(text: &str) -> Result<Self, FlareError> {
-        let mut cfg = JobConfig::default();
-        let mut seen: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(FlareError::Codec(format!(
-                    "line {}: expected `key = value`, got {line:?}",
-                    lineno + 1
-                )));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            if let Some(first) = seen.insert(key.to_string(), lineno + 1) {
-                return Err(FlareError::Codec(format!(
-                    "line {}: duplicate job key {key:?} (first set on line {first})",
-                    lineno + 1
-                )));
-            }
-            let bad = |what: &str| {
-                FlareError::Codec(format!("line {}: invalid {what}: {value:?}", lineno + 1))
-            };
-            match key {
-                "name" => cfg.name = value.to_string(),
-                "rounds" => cfg.rounds = value.parse().map_err(|_| bad("rounds"))?,
-                "min_clients" => cfg.min_clients = value.parse().map_err(|_| bad("min_clients"))?,
-                "timeout_s" => {
-                    cfg.round_timeout =
-                        Duration::from_secs(value.parse().map_err(|_| bad("timeout_s"))?)
-                }
-                "validate" => {
-                    cfg.validate_global = match value {
-                        "true" | "yes" | "1" => true,
-                        "false" | "no" | "0" => false,
-                        _ => return Err(bad("validate")),
-                    }
-                }
-                "aggregator" => cfg.aggregator = AggregatorKind::parse(value)?,
-                "clients" => cfg.clients = value.parse().map_err(|_| bad("clients"))?,
-                "model" => cfg.model = Some(value.to_string()),
-                "seed" => cfg.seed = Some(value.parse().map_err(|_| bad("seed"))?),
-                other => {
-                    return Err(FlareError::Codec(format!(
-                        "line {}: unknown job key {other:?}",
-                        lineno + 1
-                    )))
-                }
-            }
-        }
-        if cfg.rounds == 0 {
-            return Err(FlareError::Codec("rounds must be at least 1".into()));
-        }
-        if cfg.clients == 0 {
-            return Err(FlareError::Codec("clients must be at least 1".into()));
-        }
-        Ok(cfg)
-    }
-
-    /// The ScatterAndGather settings this job describes.
-    pub fn sag_config(&self) -> SagConfig {
-        SagConfig {
-            rounds: self.rounds,
-            min_clients: self.min_clients,
-            round_timeout: self.round_timeout,
-            validate_global: self.validate_global,
-            ..SagConfig::default()
-        }
-    }
+    Ok(seen)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn parses_full_job() {
-        let cfg = JobConfig::parse(
-            "# ADR fine-tune job\n\
-             name = adr-finetune\n\
-             rounds = 10\n\
-             min_clients = 8\n\
-             timeout_s = 120\n\
-             validate = true\n\
-             aggregator = weighted_fedavg\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.name, "adr-finetune");
-        assert_eq!(cfg.rounds, 10);
-        assert_eq!(cfg.min_clients, 8);
-        assert_eq!(cfg.round_timeout, Duration::from_secs(120));
-        assert!(cfg.validate_global);
-        assert_eq!(cfg.aggregator, AggregatorKind::WeightedFedAvg);
-        let sag = cfg.sag_config();
-        assert_eq!(sag.rounds, 10);
-        assert_eq!(sag.min_clients, 8);
+    /// A two-key table standing in for a host's.
+    fn read(text: &str) -> Result<(String, u32, BTreeMap<String, usize>), String> {
+        let (mut name, mut rounds) = (String::from("job"), 1u32);
+        let lines = read_lines(text, |key, value| match key {
+            "name" => {
+                name = value.to_string();
+                Ok(())
+            }
+            "rounds" => {
+                rounds = value
+                    .parse()
+                    .map_err(|_| format!("invalid rounds: {value:?}"))?;
+                Ok(())
+            }
+            other => Err(format!("unknown job key {other:?}")),
+        })?;
+        Ok((name, rounds, lines))
     }
 
     #[test]
-    fn defaults_fill_missing_keys() {
-        let cfg = JobConfig::parse("rounds = 3\n").unwrap();
-        assert_eq!(cfg.rounds, 3);
-        assert_eq!(cfg.min_clients, 1);
-        assert!(cfg.validate_global);
-    }
-
-    #[test]
-    fn comments_and_blanks_ignored() {
-        let cfg = JobConfig::parse("\n# only comments\n\n").unwrap();
-        assert_eq!(cfg, JobConfig::default());
+    fn reads_keys_in_order_with_their_lines() {
+        let (name, rounds, lines) =
+            read("# ADR fine-tune job\n\nname = adr-finetune\nrounds = 10\n").unwrap();
+        assert_eq!((name.as_str(), rounds), ("adr-finetune", 10));
+        assert_eq!(lines["name"], 3);
+        assert_eq!(lines["rounds"], 4);
+        assert!(read("\n# only comments\n\n").unwrap().2.is_empty());
     }
 
     #[test]
     fn unknown_key_rejected_with_line_number() {
-        let err = JobConfig::parse("rounds = 2\nbogus = 7\n").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-        assert!(err.to_string().contains("bogus"));
+        let err = read("rounds = 2\nbogus = 7\n").unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
+        assert!(err.contains("bogus"), "{err}");
     }
 
     #[test]
-    fn malformed_values_rejected() {
-        assert!(JobConfig::parse("rounds = many").is_err());
-        assert!(JobConfig::parse("validate = maybe").is_err());
-        assert!(JobConfig::parse("not a kv line").is_err());
-        assert!(JobConfig::parse("rounds = 0").is_err());
-        assert!(JobConfig::parse("clients = 0").is_err());
-        assert!(JobConfig::parse("seed = minus-one").is_err());
+    fn malformed_lines_and_values_rejected() {
+        assert!(read("rounds = many")
+            .unwrap_err()
+            .to_string()
+            .contains("line 1: invalid rounds"));
+        assert!(read("not a kv line").is_err());
     }
 
     #[test]
     fn duplicate_key_rejected_with_both_line_numbers() {
-        let err = JobConfig::parse(
-            "name = a\n\
-             rounds = 2\n\
-             # comment between\n\
-             rounds = 5\n",
-        )
-        .unwrap_err();
-        let msg = err.to_string();
+        let msg = read("name = a\nrounds = 2\n# comment between\nrounds = 5\n")
+            .unwrap_err()
+            .to_string();
         assert!(msg.contains("line 4"), "{msg}");
         assert!(msg.contains("duplicate"), "{msg}");
         assert!(msg.contains("rounds"), "{msg}");
         assert!(msg.contains("line 2"), "{msg}");
-    }
-
-    #[test]
-    fn serve_mode_keys_parse() {
-        let cfg = JobConfig::parse("clients = 4\nmodel = lstm\nseed = 99\n").unwrap();
-        assert_eq!(cfg.clients, 4);
-        assert_eq!(cfg.model.as_deref(), Some("lstm"));
-        assert_eq!(cfg.seed, Some(99));
-        // Absent keys stay None / default.
-        let cfg = JobConfig::parse("rounds = 1\n").unwrap();
-        assert_eq!(cfg.clients, 8);
-        assert_eq!(cfg.model, None);
-        assert_eq!(cfg.seed, None);
     }
 
     #[test]
@@ -288,10 +181,9 @@ mod tests {
             ("trimmed_mean", AggregatorKind::TrimmedMean),
             ("secure_sum", AggregatorKind::MaskedSum),
         ] {
-            let cfg = JobConfig::parse(&format!("aggregator = {alias}")).unwrap();
-            assert_eq!(cfg.aggregator, kind);
+            assert_eq!(AggregatorKind::parse(alias), Ok(kind));
         }
-        assert!(JobConfig::parse("aggregator = quantum").is_err());
+        assert!(AggregatorKind::parse("quantum").is_err());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   scheduled → running → finished / aborted / failed) and caps how
 //!   many federations train at once (`max_concurrent`); excess jobs
 //!   queue in submission order.
-//! * Each running job stands up a private flat federation through the
+//! * Each running job stands up a private federation through the
 //!   simulator's one stand-up path ([`SimulatorRunner`]), so a job is
-//!   bit-identical to a solo simulator run under the same seed. It gets
+//!   bit-identical to a solo simulator run of the same config. It gets
 //!   its own [`clinfl_obs::Registry`] (so per-job metric namespaces
 //!   never cross), its own checkpoint
 //!   directory guarded by [`crate::persistor::FilePersistor`]'s
@@ -29,13 +29,12 @@ use crate::controller::WorkflowResult;
 use crate::dxo::Weights;
 use crate::executor::Executor;
 use crate::filters::FilterChain;
-use crate::job::JobConfig;
+use crate::job::AggregatorKind;
 use crate::log::EventLog;
-use crate::simulator::{RunScope, SimulatorConfig, SimulatorRunner, TreeConfig};
+use crate::simulator::{RunScope, SimulatorConfig, SimulatorRunner};
 use crate::FlareError;
 use clinfl_obs::Registry;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -85,32 +84,36 @@ impl std::fmt::Display for JobState {
 /// returns the boxed trainer that moves onto that site's thread.
 pub type ExecutorFactory = Box<dyn FnMut(usize, &str) -> Box<dyn Executor> + Send>;
 
-/// Everything needed to launch one federation: the parsed config plus
-/// the host-side pieces a [`JobConfig`] cannot carry (initial weights
-/// and the executor factory).
+/// Per-site outgoing filter factory: called with the site index.
+pub type FilterFactory = Box<dyn FnMut(usize) -> FilterChain + Send>;
+
+/// Everything needed to launch one federation: exactly what
+/// [`SimulatorRunner::run`] takes, plus a name.
 pub struct JobSpec {
-    /// Parsed job description (rounds, clients, aggregator, …).
-    pub config: JobConfig,
-    /// Run seed; [`JobConfig::seed`] overrides it when set.
-    pub seed: u64,
+    /// Job name (for listings, logs and the obs artifact tag).
+    pub name: String,
+    /// The federation: sites, workflow, seed, codec, topology and
+    /// checkpoint directory. Two jobs must not share a checkpoint
+    /// directory — the [`crate::persistor::FilePersistor`] lock file
+    /// fails the second job loudly.
+    pub config: SimulatorConfig,
+    /// Aggregation rule.
+    pub aggregator: AggregatorKind,
     /// Initial global weights scattered at round 0.
     pub initial: Weights,
     /// Called once per site (index, site name) to build its local
     /// trainer; the executor moves onto that site's thread.
     pub make_executor: ExecutorFactory,
-    /// Checkpoint directory for this job, or `None` for in-memory
-    /// persistence. Two jobs must not share one — the
-    /// [`crate::persistor::FilePersistor`] lock file fails the second job
-    /// loudly.
-    pub checkpoint_dir: Option<PathBuf>,
+    /// Called once per site to build its outgoing filter chain.
+    pub make_filters: FilterFactory,
 }
 
 impl std::fmt::Debug for JobSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobSpec")
+            .field("name", &self.name)
             .field("config", &self.config)
-            .field("seed", &self.seed)
-            .field("checkpoint_dir", &self.checkpoint_dir)
+            .field("aggregator", &self.aggregator)
             .finish_non_exhaustive()
     }
 }
@@ -235,9 +238,9 @@ impl JobRuntime {
         let obs = Registry::new();
         let abort = Arc::new(AtomicBool::new(false));
         let entry = JobEntry {
-            name: spec.config.name.clone(),
-            clients: spec.config.clients,
-            rounds: spec.config.rounds,
+            name: spec.name.clone(),
+            clients: spec.config.n_clients,
+            rounds: spec.config.sag.rounds,
             state: JobState::Submitted,
             status: status.clone(),
             obs: obs.clone(),
@@ -251,10 +254,9 @@ impl JobRuntime {
             .lock()
             .expect("jobs lock poisoned")
             .insert(id, entry);
-        self.inner.log.info(
-            "JobRuntime",
-            format!("job {id} ({}) submitted", spec.config.name),
-        );
+        self.inner
+            .log
+            .info("JobRuntime", format!("job {id} ({}) submitted", spec.name));
         let inner = self.inner.clone();
         let handle = std::thread::spawn(move || {
             if !inner.acquire_slot(&abort) {
@@ -392,10 +394,10 @@ fn info_of(id: u64, e: &JobEntry) -> JobInfo {
 }
 
 /// Runs one job's private federation through the simulator's stand-up
-/// path ([`SimulatorRunner`]), always flat. Everything observable is
-/// scoped: the server, every client, and the controller all record into
-/// the job's `obs` registry, and the obs artifact (when observability is
-/// enabled) is tagged `job<id>-<name>`.
+/// path ([`SimulatorRunner`]). Everything observable is scoped: the
+/// server, every client, and the controller all record into the job's
+/// `obs` registry, and the obs artifact (when observability is enabled)
+/// is tagged `job<id>-<name>`.
 fn run_job(
     id: u64,
     spec: JobSpec,
@@ -408,32 +410,15 @@ fn run_job(
         return Err(FlareError::Aborted);
     }
     let JobSpec {
+        name,
         config,
-        seed,
+        aggregator,
         initial,
         mut make_executor,
-        checkpoint_dir,
+        mut make_filters,
     } = spec;
-    let seed = config.seed.unwrap_or(seed);
-    let n = config.clients;
-    let runner = SimulatorRunner::with_log(
-        SimulatorConfig {
-            n_clients: n,
-            sag: config.sag_config(),
-            seed,
-            // The checkpoint lock file is the multi-tenant guard: a second
-            // job pointed at the same directory fails before any client
-            // spawns.
-            checkpoint_dir,
-            // Depth 1 keeps jobs flat whatever `CLINFL_TREE` says.
-            tree: Some(TreeConfig {
-                depth: 1,
-                fanout: 2,
-            }),
-            ..SimulatorConfig::default()
-        },
-        inner.log.clone(),
-    );
+    let (n, rounds, seed) = (config.n_clients, config.sag.rounds, config.seed);
+    let runner = SimulatorRunner::with_log(config, inner.log.clone());
     let log = inner.log.clone();
     let scope = RunScope {
         project: format!("job-{id}"),
@@ -441,8 +426,8 @@ fn run_job(
         status: status.clone(),
         abort: abort.clone(),
         artifact: (
-            format!("{n}x{}-seed{seed}", config.rounds),
-            format!("job{id}-{}", config.name),
+            format!("{n}x{rounds}-seed{seed}"),
+            format!("job{id}-{name}"),
         ),
         on_running: Box::new(move || {
             inner.set_state(id, JobState::Running);
@@ -454,8 +439,8 @@ fn run_job(
             scope,
             initial,
             &mut make_executor,
-            config.aggregator.build().as_ref(),
-            &mut |_| FilterChain::new(),
+            aggregator.build().as_ref(),
+            &mut make_filters,
         )
         .map(|result| result.workflow)
 }
@@ -470,11 +455,18 @@ mod tests {
         let mut w = Weights::new();
         w.insert("p".into(), WeightTensor::new(vec![4], vec![0.0; 4]));
         JobSpec {
-            config: JobConfig::parse(&format!(
-                "name = {name}\nrounds = {rounds}\nclients = {clients}\nmin_clients = {clients}\n"
-            ))
-            .unwrap(),
-            seed,
+            name: name.to_string(),
+            config: SimulatorConfig {
+                n_clients: clients,
+                sag: crate::controller::SagConfig {
+                    rounds,
+                    min_clients: clients,
+                    ..Default::default()
+                },
+                seed,
+                ..SimulatorConfig::default()
+            },
+            aggregator: AggregatorKind::WeightedFedAvg,
             initial: w,
             make_executor: Box::new(|i, _| {
                 Box::new(ArithmeticExecutor {
@@ -482,7 +474,7 @@ mod tests {
                     n_examples: 10,
                 })
             }),
-            checkpoint_dir: None,
+            make_filters: Box::new(|_| FilterChain::new()),
         }
     }
 
@@ -508,14 +500,9 @@ mod tests {
     #[test]
     fn job_matches_solo_simulator_run_bitwise() {
         let job = spec("twin", 3, 3, 11);
-        let solo_cfg = SimulatorConfig {
-            n_clients: 3,
-            sag: job.config.sag_config(),
-            seed: 11,
-            ..SimulatorConfig::default()
-        };
+        let solo_cfg = job.config.clone();
         let initial = job.initial.clone();
-        let aggregator = job.config.aggregator.build();
+        let aggregator = job.aggregator.build();
         let rt = JobRuntime::new(1);
         let id = rt.submit(job);
         assert_eq!(

@@ -309,6 +309,12 @@ impl ServerShared {
             Ok(_) if !self.codecs_enabled.load(Ordering::Relaxed) => Ok(CodecSpec::raw()),
             Ok(spec) => Ok(spec),
         };
+        // Logged before the ack goes out, so a client that reads the
+        // rejection can rely on the warning being recorded.
+        if let Err(why) = &spec {
+            self.log
+                .warn("ClientManager", format!("Client {site} rejected: {why}"));
+        }
         let keys = DhKeyPair::from_secret(dh_secret);
         // UUID-shaped session token, as in the paper's Fig. 3 log.
         let (hi, lo) = session_bits;
@@ -331,13 +337,8 @@ impl ServerShared {
             .map(|t| t.send(&ack.to_frame()).is_ok())
             .unwrap_or(false);
         let spec = match spec {
-            Err(why) => {
-                self.log
-                    .warn("ClientManager", format!("Client {site} rejected: {why}"));
-                return SessionPhase::Closed;
-            }
-            Ok(_) if !sent => return SessionPhase::Closed,
-            Ok(spec) => spec,
+            Ok(spec) if sent => spec,
+            _ => return SessionPhase::Closed,
         };
         let key = keys.shared_key(dh_public);
         let slot_idx = {

@@ -2,8 +2,8 @@
 //!
 //! These functions operate on plain slices so they can be reused by the
 //! [`crate::Tensor`] convenience methods, the autograd backward
-//! implementations in `ops`, and the Criterion micro-benchmarks without any
-//! graph overhead. All layouts are row-major.
+//! implementations in `ops`, and the `bench_kernels` micro-benchmark
+//! without any graph overhead. All layouts are row-major.
 //!
 //! # GEMM family
 //!

@@ -13,6 +13,9 @@
 #      would cost)
 #   5. assert the survivor stayed green and both per-job checkpoint
 #      directories exist (isolation: one dir per job, lock-file guarded)
+#   6. submit a job with a misspelled key and require the client to exit
+#      non-zero with the parser's `line 2` error (the run-key table is
+#      checked end to end, over HTTP)
 #
 # Run from the repo root (scripts/check.sh does): scripts/ci_jobs.sh
 set -euo pipefail
@@ -71,4 +74,13 @@ grep -q "\"id\":$SURV,\"name\":\"survivor\",\"state\":\"finished\"" "$DIR/list.j
 [ -d "$DIR/ckpts/job-1-doomed" ] && [ -d "$DIR/ckpts/job-2-survivor" ] ||
     { echo "per-job checkpoint dirs missing"; ls -la "$DIR/ckpts" || true; exit 1; }
 
-echo "==> jobs leg ok: survivor finished, doomed aborted, per-job dirs intact"
+# The parser end to end: a misspelled key is refused at submit time
+# with its line number, and the client reports the failure.
+if printf 'name = typo\nrund = 2\n' | "$BIN" job submit >"$DIR/typo.out" 2>&1; then
+    echo "a job with a misspelled key was accepted"; cat "$DIR/typo.out"; exit 1
+fi
+grep -q 'line 2' "$DIR/typo.out" ||
+    { echo "misspelled key not reported with its line"; cat "$DIR/typo.out"; exit 1; }
+echo "==> misspelled key refused: $(head -1 "$DIR/typo.out")"
+
+echo "==> jobs leg ok: survivor finished, doomed aborted, per-job dirs intact, typo refused"

@@ -1,11 +1,15 @@
 //! Cross-crate integration: driving a simulated federation from a
-//! declarative job config (NVFlare's config-driven operation).
+//! declarative job text (NVFlare's config-driven operation), through the
+//! same key table and builder `clinfl serve` uses.
 
+use clinfl::{drivers, Partition, PipelineConfig, RunSpec};
 use clinfl_flare::client::ClientBehavior;
 use clinfl_flare::executor::ArithmeticExecutor;
-use clinfl_flare::job::{AggregatorKind, JobConfig};
-use clinfl_flare::simulator::{SimulatorConfig, SimulatorRunner};
+use clinfl_flare::job::AggregatorKind;
+use clinfl_flare::jobs::JobSpec;
+use clinfl_flare::simulator::SimulatorRunner;
 use clinfl_flare::{WeightTensor, Weights};
+use std::time::Duration;
 
 fn initial() -> Weights {
     let mut w = Weights::new();
@@ -13,25 +17,26 @@ fn initial() -> Weights {
     w
 }
 
+/// The job a `clinfl serve` host would launch for `text`.
+fn job(text: &str) -> JobSpec {
+    let base = RunSpec::new(PipelineConfig::scaled(256), Partition::Balanced);
+    drivers::serve_job_factory(base, None)(text).expect("valid job")
+}
+
 #[test]
 fn job_config_drives_a_full_simulation() {
-    let job = JobConfig::parse(
-        "name = smoke\n\
+    let job = job("name = smoke\n\
          rounds = 3\n\
+         clients = 2\n\
          min_clients = 2\n\
          timeout_s = 10\n\
          validate = false\n\
-         aggregator = fedavg\n",
-    )
-    .expect("valid job");
-    let runner = SimulatorRunner::new(SimulatorConfig {
-        n_clients: 2,
-        sag: job.sag_config(),
-        seed: 21,
-        ..SimulatorConfig::default()
-    });
-    let aggregator = job.aggregator.build();
-    let res = runner
+         aggregator = fedavg\n");
+    assert_eq!(job.name, "smoke");
+    assert_eq!(job.config.n_clients, 2);
+    assert_eq!(job.config.sag.round_timeout, Duration::from_secs(10));
+    assert!(!job.config.sag.validate_global);
+    let res = SimulatorRunner::new(job.config)
         .run_simple(
             initial(),
             |_, _| {
@@ -40,7 +45,7 @@ fn job_config_drives_a_full_simulation() {
                     n_examples: 5,
                 })
             },
-            aggregator.as_ref(),
+            job.aggregator.build().as_ref(),
         )
         .expect("simulation runs");
     // +1 per round for 3 rounds.
@@ -50,16 +55,9 @@ fn job_config_drives_a_full_simulation() {
 
 #[test]
 fn job_config_median_aggregation_end_to_end() {
-    let job = JobConfig::parse("rounds = 2\naggregator = median\n").expect("valid job");
+    let job = job("rounds = 2\nclients = 3\naggregator = median\n");
     assert_eq!(job.aggregator, AggregatorKind::CoordinateMedian);
-    let runner = SimulatorRunner::new(SimulatorConfig {
-        n_clients: 3,
-        sag: job.sag_config(),
-        seed: 22,
-        ..SimulatorConfig::default()
-    });
-    let aggregator = job.aggregator.build();
-    let res = runner
+    let res = SimulatorRunner::new(job.config)
         .run(
             initial(),
             |i, _| {
@@ -69,7 +67,7 @@ fn job_config_median_aggregation_end_to_end() {
                     n_examples: 5,
                 })
             },
-            aggregator.as_ref(),
+            job.aggregator.build().as_ref(),
             |_| clinfl_flare::filters::FilterChain::new(),
         )
         .expect("simulation runs");

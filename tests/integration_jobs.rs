@@ -2,10 +2,15 @@
 //! shared pool must stay bit-identical to solo runs, keep their metric
 //! namespaces apart, and obey the HTTP admin API end-to-end.
 
+use clinfl::{drivers, Partition, PipelineConfig, RunSpec};
 use clinfl_flare::admin::{AdminServer, JobFactory};
+use clinfl_flare::controller::SagConfig;
 use clinfl_flare::executor::{ArithmeticExecutor, Executor, TaskContext};
-use clinfl_flare::job::JobConfig;
+use clinfl_flare::filters::FilterChain;
+use clinfl_flare::job::{read_lines, AggregatorKind};
 use clinfl_flare::jobs::{JobRuntime, JobSpec, JobState};
+use clinfl_flare::simulator::SimulatorConfig;
+use clinfl_flare::EventLog;
 use clinfl_flare::{Dxo, WeightTensor, Weights};
 use clinfl_obs::json::Value;
 use std::io::{Read, Write};
@@ -20,11 +25,18 @@ fn initial() -> Weights {
 
 fn arith_spec(name: &str, rounds: u32, clients: usize, seed: u64) -> JobSpec {
     JobSpec {
-        config: JobConfig::parse(&format!(
-            "name = {name}\nrounds = {rounds}\nclients = {clients}\nmin_clients = {clients}\n"
-        ))
-        .unwrap(),
-        seed,
+        name: name.to_string(),
+        config: SimulatorConfig {
+            n_clients: clients,
+            sag: SagConfig {
+                rounds,
+                min_clients: clients,
+                ..SagConfig::default()
+            },
+            seed,
+            ..SimulatorConfig::default()
+        },
+        aggregator: AggregatorKind::WeightedFedAvg,
         initial: initial(),
         make_executor: Box::new(|i, _| {
             Box::new(ArithmeticExecutor {
@@ -32,7 +44,7 @@ fn arith_spec(name: &str, rounds: u32, clients: usize, seed: u64) -> JobSpec {
                 n_examples: 10 + i as u64,
             })
         }),
-        checkpoint_dir: None,
+        make_filters: Box::new(|_| FilterChain::new()),
     }
 }
 
@@ -94,11 +106,11 @@ fn four_concurrent_jobs_match_solo_runs_bit_identically() {
 fn same_seed_clinical_jobs_concurrent_equals_solo() {
     let cfg_text =
         "name = lstm-pair\nrounds = 1\nclients = 2\nmin_clients = 2\nmodel = lstm\nseed = 5\n";
-    let base = clinfl::PipelineConfig::scaled(256);
+    let base = RunSpec::new(PipelineConfig::scaled(256), Partition::Balanced);
 
     let solo_rt = JobRuntime::new(1);
-    let factory = clinfl::drivers::serve_job_factory(base.clone(), None);
-    let solo_id = solo_rt.submit(factory(JobConfig::parse(cfg_text).unwrap()).unwrap());
+    let factory = drivers::serve_job_factory(base.clone(), None);
+    let solo_id = solo_rt.submit(factory(cfg_text).unwrap());
     assert_eq!(
         solo_rt.wait(solo_id, Duration::from_secs(300)),
         Some(JobState::Finished)
@@ -107,9 +119,9 @@ fn same_seed_clinical_jobs_concurrent_equals_solo() {
     solo_rt.join_all();
 
     let rt = JobRuntime::new(2);
-    let factory = clinfl::drivers::serve_job_factory(base, None);
-    let a = rt.submit(factory(JobConfig::parse(cfg_text).unwrap()).unwrap());
-    let b = rt.submit(factory(JobConfig::parse(cfg_text).unwrap()).unwrap());
+    let factory = drivers::serve_job_factory(base, None);
+    let a = rt.submit(factory(cfg_text).unwrap());
+    let b = rt.submit(factory(cfg_text).unwrap());
     assert_eq!(
         rt.wait(a, Duration::from_secs(300)),
         Some(JobState::Finished)
@@ -122,6 +134,39 @@ fn same_seed_clinical_jobs_concurrent_equals_solo() {
     let wb = rt.result(b).unwrap().final_weights;
     assert_eq!(wa, solo, "concurrent job A diverged from solo");
     assert_eq!(wb, solo, "concurrent job B diverged from solo");
+    rt.join_all();
+}
+
+/// Jobs and the CLI are one path: a job submitted through the serve
+/// factory and the `clinfl federated` driver on the equivalent flags
+/// build the same federation and end on bit-identical weights.
+#[test]
+fn job_text_and_cli_flags_train_bit_identical_federations() {
+    let base = |partition| RunSpec::new(PipelineConfig::scaled(256), partition);
+    let text = "partition = balanced\nclients = 4\nrounds = 1\nseed = 5\nwire_codec = delta\n";
+    let rt = JobRuntime::new(1);
+    let job = drivers::serve_job_factory(base(Partition::Balanced), None)(text).unwrap();
+    let id = rt.submit(job);
+    assert_eq!(
+        rt.wait(id, Duration::from_secs(300)),
+        Some(JobState::Finished)
+    );
+    let argv = "--partition balanced --clients 4 --rounds 1 --seed 5 --wire-codec delta";
+    let spec = base(Partition::Imbalanced)
+        .parse_args(argv.split(' ').map(String::from))
+        .unwrap();
+    let cli = drivers::train_federated_with(
+        &spec.pipeline,
+        spec.model,
+        &spec.partitioner(),
+        EventLog::new(),
+    )
+    .unwrap();
+    assert_eq!(
+        rt.result(id).unwrap().final_weights,
+        cli.final_weights,
+        "a job must train exactly what the same keys train on the CLI"
+    );
     rt.join_all();
 }
 
@@ -143,14 +188,30 @@ impl Executor for SlowExecutor {
     }
 }
 
-/// Factory for the HTTP tests: `model = slow` selects the sleeping
-/// executor, anything else the fast one.
+/// Factory for the HTTP tests: reads `name`, `rounds`, `clients` and
+/// `min_clients`; `model = slow` selects the sleeping executor, anything
+/// else the fast one.
 fn test_factory() -> JobFactory {
-    Box::new(|config: JobConfig| {
-        let slow = config.model.as_deref() == Some("slow");
+    Box::new(|text: &str| {
+        let (mut name, mut slow) = (String::from("job"), false);
+        let mut config = SimulatorConfig::paper(10);
+        read_lines(text, |key, value| {
+            let num = || value.parse::<usize>().map_err(|_| format!("invalid {key}"));
+            match key {
+                "name" => name = value.to_string(),
+                "model" => slow = value == "slow",
+                "rounds" => config.sag.rounds = num()? as u32,
+                "clients" => config.n_clients = num()?,
+                "min_clients" => config.sag.min_clients = num()?,
+                other => return Err(format!("unknown job key {other:?}")),
+            }
+            Ok(())
+        })
+        .map_err(clinfl_flare::FlareError::Config)?;
         Ok(JobSpec {
-            seed: config.seed.unwrap_or(1),
+            name,
             config,
+            aggregator: AggregatorKind::WeightedFedAvg,
             initial: initial(),
             make_executor: Box::new(move |i, _| {
                 let inner = ArithmeticExecutor {
@@ -163,7 +224,7 @@ fn test_factory() -> JobFactory {
                     Box::new(inner)
                 }
             }),
-            checkpoint_dir: None,
+            make_filters: Box::new(|_| FilterChain::new()),
         })
     })
 }

@@ -1,9 +1,11 @@
 //! Property-based tests over the core invariants of the stack: wire-codec
 //! roundtrips, secure-channel integrity, gradient correctness, masking
-//! bounds, and partition conservation.
+//! bounds, partition conservation, and untrusted job text and checkpoint
+//! files.
 
+use clinfl::{Partition, PipelineConfig, RunSpec, RUN_KEYS};
 use clinfl_data::{ClassifyDataset, SitePartitioner};
-use clinfl_flare::checkpoint::RunCheckpoint;
+use clinfl_flare::checkpoint::{load_weights_file, save_weights_file, RunCheckpoint};
 use clinfl_flare::codec::{encode_weights, CodecSpec};
 use clinfl_flare::controller::RoundSummary;
 use clinfl_flare::messages::{ClientMessage, Payload, ServerMessage, TaskAssignment};
@@ -136,6 +138,70 @@ fn arb_message_frame() -> impl Strategy<Value = Vec<u8>> {
             .to_frame(),
         }
     })
+}
+
+/// Values the job-text fuzzer pairs with random keys: valid values of
+/// every key, out-of-range ones, and junk.
+const SPEC_VALUES: [&str; 24] = [
+    "0",
+    "1",
+    "4",
+    "8",
+    "-1",
+    "0.5",
+    "NaN",
+    "1e30",
+    "18446744073709551615",
+    "",
+    "true",
+    "false",
+    "balanced",
+    "imbalanced",
+    "dirichlet:0.3",
+    "dirichlet:-1",
+    "delta",
+    "delta+topk0.05+int8",
+    "int8+bogus",
+    "median",
+    "masked_sum",
+    "bert-mini",
+    "../escape",
+    "runs/x",
+];
+
+/// Job text built from random `key = value` lines over the run table,
+/// with the occasional comment, blank line or malformed line.
+fn arb_job_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        (
+            0usize..RUN_KEYS.len() + 3,
+            0usize..SPEC_VALUES.len(),
+            "[a-z0-9.:+_-]{0,8}",
+        ),
+        0..8,
+    )
+    .prop_map(|lines| {
+        lines
+            .into_iter()
+            .map(|(k, v, junk)| match RUN_KEYS.get(k) {
+                Some(key) if v % 5 == 4 => format!("{key} = {junk}"),
+                Some(key) => format!("{key} = {}", SPEC_VALUES[v]),
+                None if k == RUN_KEYS.len() => format!("# {junk}"),
+                None if k == RUN_KEYS.len() + 1 => String::new(),
+                None => junk,
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    })
+}
+
+/// Parses job text the way `clinfl serve` does; an error must name the
+/// line at fault.
+fn check_job_text(text: &str) {
+    let base = RunSpec::new(PipelineConfig::scaled(256), Partition::Balanced);
+    if let Err(e) = base.parse_job(text) {
+        assert!(e.starts_with("line "), "{text:?} -> {e}");
+    }
 }
 
 proptest! {
@@ -470,5 +536,64 @@ proptest! {
         // Subsampling (q² amplification, valid while 2q² <= 1) can only
         // shrink the budget relative to full participation.
         prop_assert!(sub.epsilon() <= full.epsilon() + 1e-12);
+    }
+
+    #[test]
+    fn job_text_parses_or_names_a_line(text in arb_job_text()) {
+        check_job_text(&text);
+    }
+
+    #[test]
+    fn damaged_job_text_parses_or_names_a_line(
+        text in arb_job_text(),
+        mask in any::<u8>(),
+    ) {
+        // Every truncation and a flip at every byte of the text.
+        let bytes = text.as_bytes();
+        for cut in 0..bytes.len() {
+            check_job_text(&String::from_utf8_lossy(&bytes[..cut]));
+        }
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.to_vec();
+            flipped[i] ^= mask.max(1);
+            check_job_text(&String::from_utf8_lossy(&flipped));
+        }
+    }
+
+    #[test]
+    fn damaged_checkpoint_files_never_load(
+        ckpt in arb_checkpoint(),
+        mask in any::<u8>(),
+    ) {
+        // Every truncation and a flip at every byte of a saved `.cfw` and
+        // `run.cfc` file must be refused: no panic, and no load that
+        // hands back different content.
+        let dir = std::env::temp_dir().join(format!("clinfl-fuzz-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (cfw, cfc, bad) = (dir.join("round_1.cfw"), dir.join("run.cfc"), dir.join("bad"));
+        save_weights_file(&cfw, &ckpt.global).unwrap();
+        ckpt.save(&cfc).unwrap();
+        prop_assert_eq!(&load_weights_file(&cfw).unwrap(), &ckpt.global);
+        prop_assert_eq!(&RunCheckpoint::load(&cfc).unwrap(), &ckpt);
+        for (file, is_weights) in [(&cfw, true), (&cfc, false)] {
+            let bytes = std::fs::read(file).unwrap();
+            let damaged = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).chain(
+                (0..bytes.len()).map(|i| {
+                    let mut flipped = bytes.clone();
+                    flipped[i] ^= mask.max(1);
+                    flipped
+                }),
+            );
+            for variant in damaged {
+                std::fs::write(&bad, &variant).unwrap();
+                let loaded = if is_weights {
+                    load_weights_file(&bad).is_ok()
+                } else {
+                    RunCheckpoint::load(&bad).is_ok()
+                };
+                prop_assert!(!loaded, "a damaged {} loaded", file.display());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
