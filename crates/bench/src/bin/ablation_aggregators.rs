@@ -18,7 +18,7 @@ fn run_with(base: &RunSpec, bias: f64, aggregator: AggregatorKind) -> f64 {
 }
 
 fn main() {
-    let mut base = clinfl_bench::parse_args(12).spec;
+    let mut base = clinfl_bench::parse_args(12, &["seed", "rounds"]).spec;
     base.validate = false;
     let cfg = &base.pipeline;
     println!(

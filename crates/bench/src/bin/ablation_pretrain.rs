@@ -22,7 +22,7 @@ fn finetune(cfg: &PipelineConfig, init_from: Option<&clinfl_flare::Weights>) -> 
 }
 
 fn main() {
-    let args = clinfl_bench::parse_args(16);
+    let args = clinfl_bench::parse_args(16, &["seed"]);
     let mut cfg = args.config();
     cfg.pretrain.scale = 64 * args.scale.max(1);
     println!(

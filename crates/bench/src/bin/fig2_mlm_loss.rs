@@ -15,7 +15,7 @@ use clinfl::experiments::run_fig2_with;
 use std::time::Instant;
 
 fn main() {
-    let args = clinfl_bench::parse_args(32); // corpus divisor = 16 × this
+    let args = clinfl_bench::parse_args(32, &["seed"]); // corpus divisor = 16 × this
     let mut cfg = args.config();
     cfg.pretrain.scale = 16 * args.scale.max(1);
     cfg.pretrain_rounds = 12;

@@ -11,7 +11,7 @@ use clinfl::{drivers, ModelSpec};
 use clinfl_flare::EventLog;
 
 fn main() {
-    let args = clinfl_bench::parse_args(16);
+    let args = clinfl_bench::parse_args(16, &["seed"]);
     let mut cfg = args.config();
     cfg.rounds = 3;
     cfg.local_epochs = 2;

@@ -12,7 +12,7 @@ use clinfl::experiments::run_table3_with;
 use std::time::Instant;
 
 fn main() {
-    let args = clinfl_bench::parse_args(10);
+    let args = clinfl_bench::parse_args(10, &["seed", "rounds"]);
     let cfg = args.config();
     eprintln!(
         "Table III at scale {} ({} patients, {} rounds x {} local epochs / {} epochs)…",

@@ -17,21 +17,33 @@
 //! | Kernel micro-benchmarks     | `cargo run -p clinfl-bench --release --bin bench_kernels -- --run` |
 //!
 //! `--scale N` divides the paper's data volumes by `N` (default shown per
-//! binary); `--scale 1` is full paper scale. The run keys of
-//! `clinfl::RunSpec` (`--seed`, `--rounds`, …) apply on top. Results are
-//! recorded in the repository's `EXPERIMENTS.md`.
+//! binary); `--scale 1` is full paper scale. `--seed N` reseeds every
+//! binary, and the federated ones (`table3_accuracy`,
+//! `ablation_aggregators`) also take `--rounds N`. Results are recorded
+//! in the repository's `EXPERIMENTS.md`.
 
-/// Parses `--scale N` plus any run keys (`--seed 7`, `--rounds 3`, … the
-/// flags `clinfl federated` takes) over `PipelineConfig::scaled(N)`.
-/// Exits with status 2, naming the flag, on an unknown key or a bad
-/// value.
-pub fn parse_args(default_scale: usize) -> BenchArgs {
+/// Parses `--scale N` plus the run keys in `reads` (`"seed"`,
+/// `"rounds"`, as the flags `clinfl federated` spells them) over
+/// `PipelineConfig::scaled(N)`. Exits with status 2, naming the flag, on
+/// a bad `--scale`, an unknown key, a key the binary does not read or a
+/// bad value.
+pub fn parse_args(default_scale: usize, reads: &[&str]) -> BenchArgs {
+    let fail = |why: String| -> ! {
+        let keys: String = reads.iter().map(|k| format!(" [--{k} N]")).collect();
+        eprintln!("{why}\nusage: [--scale N]{keys}");
+        std::process::exit(2)
+    };
     let mut scale = default_scale;
     let mut keys = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match (a.as_str(), it.next()) {
-            ("--scale", Some(v)) => scale = v.parse().unwrap_or(scale),
+            ("--scale", Some(v)) => {
+                scale = v
+                    .parse()
+                    .unwrap_or_else(|_| fail(format!("--scale: invalid value {v:?}")))
+            }
+            ("--scale", None) => fail("--scale needs a value".to_string()),
             (_, v) => keys.extend([a].into_iter().chain(v)),
         }
     }
@@ -39,12 +51,13 @@ pub fn parse_args(default_scale: usize) -> BenchArgs {
         clinfl::PipelineConfig::scaled(scale),
         clinfl::Partition::Imbalanced,
     );
-    match base.parse_args(keys) {
+    let excluded: Vec<&str> = clinfl::RUN_KEYS
+        .into_iter()
+        .filter(|k| !reads.contains(k))
+        .collect();
+    match base.parse_args(keys, &excluded) {
         Ok(spec) => BenchArgs { scale, spec },
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+        Err(e) => fail(e),
     }
 }
 
@@ -152,7 +165,7 @@ mod tests {
             clinfl::PipelineConfig::scaled(8),
             clinfl::Partition::Imbalanced,
         )
-        .parse_args(["--seed".to_string(), "123".to_string()])
+        .parse_args(["--seed".to_string(), "123".to_string()], &[])
         .unwrap();
         let args = super::BenchArgs { scale: 8, spec };
         assert_eq!(args.config().seed, 123);

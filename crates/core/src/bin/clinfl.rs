@@ -27,7 +27,11 @@
 //! and `--echo` (the Fig. 3-style live federation log) sit outside the
 //! table. `clinfl federated` runs over `scaled(--scale)` with the paper's
 //! imbalanced partition; `clinfl serve` gives jobs the same preset with
-//! the balanced partition.
+//! the balanced partition. The other subcommands run fixed setups and
+//! refuse the keys they do not read: `centralized` and `standalone` read
+//! only `--model` and `--seed`; `pretrain`, `table3` and `fig2` read the
+//! pipeline keys (not `--name`, `--model`, `--validate`, `--aggregator`
+//! or `--partition`), each as far as its run has the step a key sets.
 //!
 //! Every subcommand runs on the synthetic cohort/corpus at `1/scale` of
 //! the paper's data volumes (see DESIGN.md for the substitution rationale).
@@ -54,7 +58,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: clinfl <centralized|standalone|federated|pretrain|table3|fig2> \
          [--scale N] [--scheme centralized|small|fl-imbalanced|fl-balanced] [--echo] [--<key> VALUE ...]\n\
-         \x20      keys: {}\n\
+         \x20      keys: {} (centralized/standalone read only model and seed; pretrain/table3/fig2 \
+         not name, model, validate, aggregator or partition)\n\
          \x20      clinfl serve [--addr A] [--addr-file F] [--max-jobs N] [--scale N] [--checkpoint-root D]\n\
          \x20      clinfl job <submit|list|abort|metrics> [--addr A] [--file F] [--id N] [--follow]",
         RUN_KEYS.join(" ")
@@ -295,9 +300,17 @@ fn parse_cli() -> Result<Cli, ExitCode> {
             }
         }
     }
+    let excluded: Vec<&str> = match command.as_str() {
+        "federated" => vec![],
+        "centralized" | "standalone" => RUN_KEYS
+            .into_iter()
+            .filter(|k| !["model", "seed"].contains(k))
+            .collect(),
+        _ => vec!["name", "model", "validate", "aggregator", "partition"],
+    };
     let base = RunSpec::new(PipelineConfig::scaled(scale), Partition::Imbalanced);
-    let spec = base.parse_args(table).map_err(|e| {
-        eprintln!("clinfl: {e}");
+    let spec = base.parse_args(table, &excluded).map_err(|e| {
+        eprintln!("clinfl {command}: {e}");
         ExitCode::from(2)
     })?;
     Ok(Cli {

@@ -3,6 +3,7 @@
 use clinfl_data::{CohortSpec, PretrainSpec};
 use clinfl_flare::client::RetryPolicy;
 use clinfl_flare::faults::FaultConfig;
+use clinfl_flare::simulator::TreeConfig;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -283,6 +284,45 @@ pub enum Partition {
     LabelSkew(f64),
 }
 
+/// Returns a [`SpecError`] for `keys` unless `ok` holds. A `match`, not
+/// `if !`: a NaN must fail a `> 0.0` check.
+macro_rules! ensure {
+    ($ok:expr, $keys:expr, $($msg:tt)+) => {
+        match $ok {
+            true => {}
+            false => return Err(SpecError { keys: &$keys, msg: format!($($msg)+) }),
+        }
+    };
+}
+
+impl RuntimeConfig {
+    /// The DP settings' ranges, which the DP filter and the ε accountant
+    /// need. The federation builder checks them again, so a
+    /// [`PipelineConfig`] that bypasses [`RunSpec::validate`] is refused
+    /// before training rather than after it.
+    pub(crate) fn check_dp(&self) -> Result<(), SpecError> {
+        if let Some(clip) = self.dp_clip {
+            let (sigma, delta) = (self.dp_sigma, self.dp_delta);
+            ensure!(
+                clip > 0.0 && clip.is_finite(),
+                ["dp_clip"],
+                "dp_clip {clip} must be a positive finite norm"
+            );
+            ensure!(
+                sigma > 0.0 && sigma.is_finite(),
+                ["dp_sigma", "dp_clip"],
+                "dp_sigma {sigma} must be positive"
+            );
+            ensure!(
+                delta > 0.0 && delta < 1.0,
+                ["dp_delta", "dp_clip"],
+                "dp_delta {delta} must be in (0, 1)"
+            );
+        }
+        Ok(())
+    }
+}
+
 /// Every key of the run table, in documentation order. `clinfl
 /// federated` spells each as a flag (`--min-clients 4`), a job as a line
 /// (`min_clients = 4`). A job may not set the last seven: personalization
@@ -332,6 +372,12 @@ pub struct SpecError {
     pub keys: &'static [&'static str],
     /// What is wrong.
     pub msg: String,
+}
+
+impl From<SpecError> for clinfl_flare::FlareError {
+    fn from(e: SpecError) -> Self {
+        clinfl_flare::FlareError::Config(format!("{}: {}", e.keys[0], e.msg))
+    }
 }
 
 /// One federated run, described the same way by `clinfl federated`
@@ -453,16 +499,14 @@ impl RunSpec {
     ///
     /// The first problem found, with the keys it concerns.
     pub fn validate(&self) -> Result<(), SpecError> {
+        self.check(TreeConfig::from_env().map(|t| t.depth))
+    }
+
+    /// [`RunSpec::validate`] with the `CLINFL_TREE` depth given, so a
+    /// spec that leaves `tree_depth` at 0 is checked against the tree the
+    /// simulator will stand up for it.
+    fn check(&self, env_depth: Option<u32>) -> Result<(), SpecError> {
         use clinfl_flare::job::AggregatorKind;
-        macro_rules! ensure {
-            ($ok:expr, $keys:expr, $($msg:tt)+) => {
-                // `match`, not `if !`: a NaN must fail a `> 0.0` check.
-                match $ok {
-                    true => {}
-                    false => return Err(SpecError { keys: &$keys, msg: format!($($msg)+) }),
-                }
-            };
-        }
         let (p, rt) = (&self.pipeline, &self.pipeline.runtime);
         let (n, name, sampling) = (p.n_clients, &self.name, rt.client_sample_fraction < 1.0);
         ensure!(p.rounds >= 1, ["rounds"], "rounds must be at least 1");
@@ -517,22 +561,26 @@ impl RunSpec {
             "invalid wire_codec: {}",
             wire.clone().unwrap_err()
         );
-        let tree = rt.tree_depth >= 2;
+        let depth = Some(rt.tree_depth).filter(|&d| d > 0).or(env_depth);
+        let tree = depth.unwrap_or(1) >= 2 && n >= 2;
         ensure!(
             rt.tree_depth <= MAX_TREE_DEPTH,
             ["tree_depth"],
             "tree_depth must be at most {MAX_TREE_DEPTH}"
         );
         ensure!(
-            !tree || rt.tree_fanout >= 2,
+            rt.tree_depth < 2 || rt.tree_fanout >= 2,
             ["tree_fanout", "tree_depth"],
             "tree_fanout must be at least 2"
         );
+        let aggregator = self.aggregator.build();
+        let blocker = TreeConfig::blocker(aggregator.as_ref(), rt.client_sample_fraction);
         ensure!(
-            !tree || self.aggregator.build().supports_partial(),
-            ["aggregator", "tree_depth"],
-            "aggregator {:?} cannot combine partial updates, so it cannot run on a tree",
-            self.aggregator
+            !tree || blocker.is_none(),
+            ["aggregator", "sample_fraction", "tree_depth"],
+            "{}, so this run cannot use an aggregation tree (tree_depth {}; 0 takes CLINFL_TREE's)",
+            blocker.unwrap_or_default(),
+            rt.tree_depth
         );
         ensure!(
             rt.client_sample_fraction > 0.0,
@@ -541,20 +589,20 @@ impl RunSpec {
             rt.client_sample_fraction
         );
         ensure!(
-            !(sampling && tree),
-            ["sample_fraction", "tree_depth"],
-            "sampling cannot run on an aggregation tree (the relays' shards would change every round)"
-        );
-        ensure!(
             !sampling || self.validate,
             ["validate", "sample_fraction"],
             "sampling needs validate = true: the validation broadcast keeps unsampled sites alive"
         );
+        let masked = self.aggregator == AggregatorKind::MaskedSum;
         ensure!(
-            self.aggregator != AggregatorKind::MaskedSum
-                || !sampling && wire.is_ok_and(|w| w.is_lossless()),
+            !masked || !sampling && wire.is_ok_and(|w| w.is_lossless()),
             ["aggregator", "sample_fraction", "wire_codec"],
             "masked_sum needs every site every round and a lossless wire codec, or the masks do not cancel"
+        );
+        ensure!(
+            !masked || rt.min_clients == n,
+            ["min_clients", "aggregator"],
+            "masked_sum needs min_clients = clients ({n}): a round aggregated without some site keeps that site's masks in the sum"
         );
         let mu = rt.fedprox_mu.unwrap_or(0.0);
         ensure!(
@@ -562,24 +610,7 @@ impl RunSpec {
             ["fedprox_mu"],
             "fedprox_mu must be >= 0, got {mu}"
         );
-        if let Some(clip) = rt.dp_clip {
-            let (sigma, delta) = (rt.dp_sigma, rt.dp_delta);
-            ensure!(
-                clip > 0.0 && clip.is_finite(),
-                ["dp_clip"],
-                "dp_clip {clip} must be a positive finite norm"
-            );
-            ensure!(
-                sigma > 0.0 && sigma.is_finite(),
-                ["dp_sigma", "dp_clip"],
-                "dp_sigma {sigma} must be positive"
-            );
-            ensure!(
-                delta > 0.0 && delta < 1.0,
-                ["dp_delta", "dp_clip"],
-                "dp_delta {delta} must be in (0, 1)"
-            );
-        }
+        rt.check_dp()?;
         ensure!(
             rt.retain_checkpoints != Some(0),
             ["retain"],
@@ -612,12 +643,17 @@ impl RunSpec {
     }
 
     /// Applies `--some-key value` pairs over this base (each one is
-    /// `set("some_key", value)`) and validates the result.
+    /// `set("some_key", value)`), refusing the keys in `excluded` (those
+    /// the calling command does not read), and validates the result.
     ///
     /// # Errors
     ///
     /// A message naming the offending flag.
-    pub fn parse_args(mut self, args: impl IntoIterator<Item = String>) -> Result<RunSpec, String> {
+    pub fn parse_args(
+        mut self,
+        args: impl IntoIterator<Item = String>,
+        excluded: &[&str],
+    ) -> Result<RunSpec, String> {
         let mut seen = std::collections::BTreeSet::new();
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
@@ -627,6 +663,9 @@ impl RunSpec {
                 .replace('-', "_");
             if !RUN_KEYS.contains(&key.as_str()) {
                 return Err(format!("{flag}: unknown key {key:?}"));
+            }
+            if excluded.contains(&key.as_str()) {
+                return Err(format!("{flag}: this command does not read {key}"));
             }
             let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
             if !seen.insert(key.clone()) {
@@ -697,8 +736,11 @@ mod tests {
         );
     }
 
+    /// Flat unless a test sets `tree_depth`, whatever `CLINFL_TREE` says.
     fn base() -> RunSpec {
-        RunSpec::new(PipelineConfig::scaled(16), Partition::Balanced)
+        let mut spec = RunSpec::new(PipelineConfig::scaled(16), Partition::Balanced);
+        spec.pipeline.runtime.tree_depth = 1;
+        spec
     }
 
     fn text(s: &str) -> Result<RunSpec, String> {
@@ -706,7 +748,7 @@ mod tests {
     }
 
     fn argv(s: &str) -> Result<RunSpec, String> {
-        base().parse_args(s.split_whitespace().map(String::from))
+        base().parse_args(s.split_whitespace().map(String::from), &[])
     }
 
     #[test]
@@ -771,7 +813,7 @@ mod tests {
         let imbalanced = RunSpec::new(PipelineConfig::scaled(16), Partition::Imbalanced);
         let err = imbalanced
             .clone()
-            .parse_args(["--clients".to_string(), "4".to_string()])
+            .parse_args(["--clients".to_string(), "4".to_string()], &[])
             .unwrap_err();
         assert!(err.starts_with("--clients: partition imbalanced"), "{err}");
         let err = text("name = a\nclients = 4\npartition = imbalanced\n").unwrap_err();
@@ -803,6 +845,10 @@ mod tests {
     #[test]
     fn impossible_combinations_are_rejected() {
         for bad in [
+            "validate = maybe",
+            "seed = minus-one",
+            "rounds = many",
+            "clients = x",
             "rounds = 0",
             "clients = 0",
             "clients = 100000",
@@ -823,6 +869,8 @@ mod tests {
             "sample_fraction = 0.5\ntree_depth = 2",
             "aggregator = masked_sum\nsample_fraction = 0.5",
             "aggregator = masked_sum\nwire_codec = int8",
+            "aggregator = masked_sum\nclients = 4",
+            "aggregator = masked_sum\nclients = 4\nmin_clients = 3",
             "fedprox_mu = -1",
             "dp_clip = -1",
             "dp_clip = 1\ndp_sigma = 0",
@@ -835,8 +883,31 @@ mod tests {
         for bad in ["--rounds", "rounds 3", "--rounds 2 --rounds 3"] {
             assert!(argv(bad).is_err(), "{bad:?}");
         }
-        assert!(text("aggregator = masked_sum\nwire_codec = delta").is_ok());
+        let err = base()
+            .parse_args(["--model".into(), "bert".into()], &["model"])
+            .unwrap_err();
+        assert_eq!(err, "--model: this command does not read model");
+        let masked = "aggregator = masked_sum\nclients = 4\nmin_clients = 4\nwire_codec = delta";
+        assert!(text(masked).is_ok());
         assert!(text("dp_clip = 1\ndp_sigma = 0.5\ndp_delta = 0.01").is_ok());
+    }
+
+    #[test]
+    fn tree_depth_zero_is_checked_against_the_env_tree() {
+        let mut spec = base();
+        spec.pipeline.runtime.tree_depth = 0;
+        spec.aggregator = clinfl_flare::job::AggregatorKind::CoordinateMedian;
+        assert!(spec.check(None).is_ok());
+        assert!(spec.check(Some(1)).is_ok());
+        let err = spec.check(Some(2)).unwrap_err();
+        assert_eq!(err.keys[0], "aggregator");
+        assert!(err.msg.contains("CLINFL_TREE"), "{}", err.msg);
+        spec.aggregator = clinfl_flare::job::AggregatorKind::WeightedFedAvg;
+        spec.pipeline.runtime.client_sample_fraction = 0.5;
+        assert!(spec.check(Some(3)).is_err());
+        // An explicit flat depth overrides the env knob.
+        spec.pipeline.runtime.tree_depth = 1;
+        assert!(spec.check(Some(3)).is_ok());
     }
 
     #[test]

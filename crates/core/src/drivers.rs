@@ -196,6 +196,7 @@ fn federation(
     validate: bool,
     log: &EventLog,
 ) -> Result<(JobSpec, TaskData, Arc<Vec<ClassifyDataset>>), FlareError> {
+    cfg.runtime.check_dp()?;
     let data = build_task_data(cfg);
     let shards = Arc::new(partitioner.partition(&data.train, cfg.seed ^ 0xA17));
     let hyper = TrainHyper::for_model(model);
@@ -294,8 +295,7 @@ pub fn train_federated_with(
 /// [`FlareError::Config`] for a spec [`RunSpec::validate`] refuses;
 /// otherwise runtime failures from the simulator.
 pub fn train_spec(spec: &RunSpec, log: EventLog) -> Result<TrainOutcome, FlareError> {
-    spec.validate()
-        .map_err(|e| FlareError::Config(format!("{}: {}", e.keys[0], e.msg)))?;
+    spec.validate()?;
     run_clinical(
         &spec.pipeline,
         spec.model,
@@ -723,6 +723,21 @@ mod tests {
         assert_eq!(out.personalized_per_site.len(), 8);
         let mean = out.personalized_mean.expect("personalization ran");
         assert!(mean > 0.0 && mean <= 1.0);
+    }
+
+    #[test]
+    fn out_of_range_dp_is_refused_before_training() {
+        for (sigma, delta) in [(0.0, 1e-5), (1.0, 1.0), (f32::NAN, 1e-5)] {
+            let mut cfg = tiny_cfg();
+            cfg.runtime.dp_clip = Some(1.0);
+            cfg.runtime.dp_sigma = sigma;
+            cfg.runtime.dp_delta = delta;
+            let err = train_federated(&cfg, ModelSpec::Lstm).unwrap_err();
+            assert!(
+                matches!(&err, FlareError::Config(m) if m.starts_with("dp_")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -254,12 +254,6 @@ impl FlClient {
         self.retry = retry;
     }
 
-    /// Overrides how long one receive attempt waits for the next task
-    /// (kept for backwards compatibility; see [`RetryPolicy`]).
-    pub fn set_recv_timeout(&mut self, timeout: Duration) {
-        self.retry.message_timeout = timeout;
-    }
-
     /// Re-homes the fleet-wide counter aggregate under `ns` (the per-site
     /// series keeps its `flare.site.<site>.*` names). Interior tree nodes
     /// use this so relay uplink traffic (`flare.tree.uplink.*`) never

@@ -46,6 +46,24 @@ pub struct TreeConfig {
 }
 
 impl TreeConfig {
+    /// Why a tree cannot serve a run, if it cannot: interior nodes must
+    /// combine partial updates, and they scatter to their whole shard, so
+    /// a per-round site subset cannot be addressed through them.
+    /// `clinfl::RunSpec::validate` refuses such a run; the simulator runs
+    /// it flat.
+    pub fn blocker(aggregator: &dyn Aggregator, sample_fraction: f64) -> Option<String> {
+        if !aggregator.supports_partial() {
+            Some(format!(
+                "{} does not decompose over shards",
+                aggregator.name()
+            ))
+        } else if sample_fraction < 1.0 {
+            Some("client sampling does not compose with tree aggregation".to_string())
+        } else {
+            None
+        }
+    }
+
     /// Reads the `CLINFL_TREE` environment knob: `"2"` (depth 2, fanout
     /// 8) or `"2x8"` (`depth x fanout`). Unset, empty, or unparsable
     /// values mean "no override".
@@ -633,8 +651,8 @@ impl SimulatorRunner {
     /// The tree this run stands up. A resumed run restores whatever its
     /// checkpoint recorded (a run must not change shape mid-flight);
     /// otherwise the config, then the `CLINFL_TREE` environment knob,
-    /// decides. Flat requests, and trees the aggregation rule or client
-    /// sampling cannot serve, resolve to depth 1.
+    /// decides. Flat requests, and trees [`TreeConfig::blocker`] refuses,
+    /// resolve to depth 1.
     fn topology(&self, sag: &SagConfig, aggregator: &dyn Aggregator) -> TreeConfig {
         let n = self.config.n_clients;
         let flat = TreeConfig {
@@ -656,24 +674,10 @@ impl SimulatorRunner {
         let Some(tree) = requested.filter(|t| t.depth >= 2 && n >= 2) else {
             return flat;
         };
-        if !aggregator.supports_partial() {
+        if let Some(why) = TreeConfig::blocker(aggregator, sag.client_sample_fraction) {
             self.log.warn(
                 "SimulatorRunner",
-                format!(
-                    "{} does not decompose over shards; falling back to a flat topology",
-                    aggregator.name()
-                ),
-            );
-            return flat;
-        }
-        if sag.client_sample_fraction < 1.0 {
-            // Interior aggregator nodes scatter to their whole shard, so
-            // a per-round site subset cannot be addressed through them
-            // yet; run the sampled federation flat instead.
-            self.log.warn(
-                "SimulatorRunner",
-                "client sampling does not compose with tree aggregation; \
-                 falling back to a flat topology",
+                format!("{why}; falling back to a flat topology"),
             );
             return flat;
         }

@@ -35,4 +35,4 @@ federated partition_imbalanced
 federated partition_balanced --partition balanced
 federated fedprox_mu0.01 --fedprox-mu 0.01
 federated dp_sigma0.01 --dp-clip 10 --dp-sigma 0.01
-federated secure_sum --aggregator masked_sum
+federated secure_sum --aggregator masked_sum --min-clients 8

@@ -153,7 +153,7 @@ fn job_text_and_cli_flags_train_bit_identical_federations() {
     );
     let argv = "--partition balanced --clients 4 --rounds 1 --seed 5 --wire-codec delta";
     let spec = base(Partition::Imbalanced)
-        .parse_args(argv.split(' ').map(String::from))
+        .parse_args(argv.split(' ').map(String::from), &[])
         .unwrap();
     let cli = drivers::train_federated_with(
         &spec.pipeline,
